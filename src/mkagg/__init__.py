@@ -1,7 +1,7 @@
 """mkagg: embed local descriptor sets and pool them into single image vectors.
 
 Pipeline: embed descriptors per centroid (bow or residual), build the
-pairwise similarity kernel (block-diagonal when the embedding permits),
+pairwise similarity kernel (block-diagonal, one block per centroid),
 compute per-descriptor weights (democratic Sinkhorn scaling or generalized
 max pooling), aggregate, normalize, and evaluate retrieval quality.
 """

@@ -2,16 +2,16 @@
 
 Exit codes: 0 success, 2 usage or precondition error, 3 data-format error,
 4 numerical failure (solver non-convergence, zero-vector normalization).
-The MKAGG_THREADS environment variable provides the default for --threads.
+The argument parser is built once per process and reused by every ``main``
+call. ``--threads`` is accepted for compatibility and ignored: every stage
+runs in the calling thread, with BLAS doing its own threading.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,13 +30,6 @@ from .types import (
     NumericalError,
     WeightVector,
 )
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MKAGG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_descriptors(path: str) -> DescriptorSet:
@@ -123,16 +116,9 @@ def cmd_eval(args) -> int:
     index = [(item_id, _load_normalized(path)) for item_id, path in index_entries]
     queries = [(qid, _load_normalized(path)) for qid, path in query_entries]
 
-    def ranked_ids(query_vec):
-        return [item_id for item_id, _ in retrieval.rank(query_vec, index)]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            ranked = list(pool.map(ranked_ids, [vec for _, vec in queries]))
-    else:
-        ranked = [ranked_ids(vec) for _, vec in queries]
-
-    rankings = {qid: ids for (qid, _), ids in zip(queries, ranked)}
+    rankings = {
+        qid: [item_id for item_id, _ in retrieval.rank(vec, index)] for qid, vec in queries
+    }
     aps = {
         qid: retrieval.average_precision(
             rankings[qid],
@@ -188,112 +174,16 @@ def cmd_demo2d(args) -> int:
     return 0
 
 
-def _timed(fn):
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    result = fn()
-    return result, time.perf_counter() - wall0, time.process_time() - cpu0
-
-
-def bench_rows(sizes: list[int], clusters: list[int], d: int = 16, seed: int = 0) -> list[dict]:
-    """Time dense vs block kernel construction and weight solving.
-
-    Returns one row per (n, c, stage) with wall/CPU seconds for both paths and
-    the max absolute difference between their outputs.
-    """
-    rows = []
-    for n in sizes:
-        for c in clusters:
-            rng = np.random.default_rng(seed)
-            points = rng.normal(size=(n, d))
-            points /= np.linalg.norm(points, axis=1, keepdims=True)
-            codebook = Codebook(points[rng.choice(n, size=c, replace=False)])
-            block_set = embed_set(
-                DescriptorSet(points.astype(np.float32)), codebook, EmbeddingConfig("residual")
-            )
-            dense_set = EmbeddedSet(phi=block_set.phi)
-
-            kern_dense, wall_gd, cpu_gd = _timed(lambda: gram(dense_set))
-            kern_block, wall_gb, cpu_gb = _timed(lambda: gram(block_set))
-            rows.append(
-                dict(
-                    n=n, c=c, stage="gram",
-                    wall_dense=wall_gd, cpu_dense=cpu_gd,
-                    wall_block=wall_gb, cpu_block=cpu_gb,
-                    max_abs_diff=float(np.max(np.abs(kern_dense.to_dense() - kern_block.to_dense()))),
-                )
-            )
-
-            agg_sum, wall_s, cpu_s = _timed(lambda: aggregate_sum(block_set))
-            rows.append(
-                dict(
-                    n=n, c=c, stage="sum",
-                    wall_dense=wall_s, cpu_dense=cpu_s,
-                    wall_block=wall_s, cpu_block=cpu_s,
-                    max_abs_diff=0.0,
-                )
-            )
-
-            dem_cfg = DemocraticConfig()
-            wd, wall_dd, cpu_dd = _timed(lambda: sinkhorn_weights(kern_dense, dem_cfg))
-            wb, wall_db, cpu_db = _timed(lambda: sinkhorn_weights(kern_block, dem_cfg))
-            diff = float(
-                np.max(
-                    np.abs(
-                        aggregate_democratic(block_set, wd).xi
-                        - aggregate_democratic(block_set, wb).xi
-                    )
-                )
-            )
-            rows.append(
-                dict(
-                    n=n, c=c, stage="democratic",
-                    wall_dense=wall_dd, cpu_dense=cpu_dd,
-                    wall_block=wall_db, cpu_block=cpu_db,
-                    max_abs_diff=diff,
-                )
-            )
-
-            gmp_cfg = GmpConfig(lam=1.0)
-            gd, wall_md, cpu_md = _timed(lambda: gmp_weights(kern_dense, gmp_cfg))
-            gb, wall_mb, cpu_mb = _timed(lambda: gmp_weights(kern_block, gmp_cfg))
-            diff = float(
-                np.max(np.abs(aggregate_gmp(block_set, gd).xi - aggregate_gmp(block_set, gb).xi))
-            )
-            rows.append(
-                dict(
-                    n=n, c=c, stage="gmp",
-                    wall_dense=wall_md, cpu_dense=cpu_md,
-                    wall_block=wall_mb, cpu_block=cpu_mb,
-                    max_abs_diff=diff,
-                )
-            )
-    return rows
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    clusters = [int(s) for s in args.clusters.split(",") if s]
-    if not sizes or not clusters:
-        raise ValueError("--sizes and --clusters must be nonempty comma-separated integers")
-    rows = bench_rows(sizes, clusters)
-    print("n\tc\tstage\twall_dense_s\tcpu_dense_s\twall_block_s\tcpu_block_s\tmax_abs_diff")
-    for r in rows:
-        print(
-            f"{r['n']}\t{r['c']}\t{r['stage']}\t{r['wall_dense']:.6f}\t{r['cpu_dense']:.6f}"
-            f"\t{r['wall_block']:.6f}\t{r['cpu_block']:.6f}\t{r['max_abs_diff']:.3e}"
-        )
-    return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkagg", description="Descriptor-set aggregation and retrieval evaluation"
     )
     parser.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help="worker cap for per-image parallel stages (default: MKAGG_THREADS or 1)",
+        default=1,
+        help="accepted for compatibility; ignored (every stage runs in one thread)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,17 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_demo2d)
 
-    p = sub.add_parser("bench", help="time dense vs block aggregation paths")
-    p.add_argument("--sizes", required=True, help="comma-separated descriptor counts")
-    p.add_argument("--clusters", required=True, help="comma-separated vocabulary sizes")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DataFormatError as exc:

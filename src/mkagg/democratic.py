@@ -7,7 +7,8 @@ fixed, small number of damped symmetric scaling steps:
     sigma = diag(a) K diag(a) 1        (current per-descriptor shares)
     a_i  := a_i / sigma_i^gamma        (damped update, gamma <= 0.5)
 
-On a block-diagonal kernel the row sums decompose per block, so the same
+The kernel is block-diagonal (one block per centroid, or a single block for
+a set without block structure), so the row sums decompose per block and the
 loop is effectively an independent scaling run per block.
 """
 
@@ -59,23 +60,15 @@ def sinkhorn_weights(kern: KernelMatrix, cfg: DemocraticConfig = DemocraticConfi
     return WeightVector(alpha=alpha, method="democratic")
 
 
-def _weighted_sum(embedded: EmbeddedSet, alpha: np.ndarray) -> np.ndarray:
-    if alpha.shape[0] != embedded.n:
-        raise ValueError(
-            f"weight vector has length {alpha.shape[0]}, embeddings have {embedded.n} columns"
-        )
-    return embedded.phi @ alpha
-
-
 def aggregate_democratic(embedded: EmbeddedSet, weights: WeightVector) -> AggregateVector:
     """Weighted column sum of the embeddings under democratic weights."""
     if weights.method != "democratic":
         raise ValueError(f"expected democratic weights, got {weights.method!r}")
-    return AggregateVector(xi=_weighted_sum(embedded, weights.alpha), state=("raw",))
+    return AggregateVector(xi=embedded.pool(weights.alpha), state=("raw",))
 
 
 def aggregate_sum(embedded: EmbeddedSet) -> AggregateVector:
     """Plain column sum, the unweighted baseline."""
     if embedded.n == 0:
         raise ValueError("cannot aggregate an empty set")
-    return AggregateVector(xi=embedded.phi.sum(axis=1), state=("raw",))
+    return AggregateVector(xi=embedded.pool(np.ones(embedded.n)), state=("raw",))

@@ -1,12 +1,13 @@
 """Per-descriptor embeddings and codebook training.
 
 Everything applied descriptor-by-descriptor lives here: vocabulary learning,
-hard assignment, and the two embedding functions. Both embeddings are
-block-sparse by centroid, which the kernel module exploits:
+hard assignment, and the two embedding functions. Both embeddings put each
+descriptor in the block of its nearest centroid, so an embedded set stores
+one w-wide row per descriptor (see ``EmbeddedSet``):
 
-  * ``bow``      one-hot indicator of the nearest centroid, D = c
-  * ``residual`` the descriptor-minus-centroid residual placed in the
-                 centroid's d-wide block (optionally l2-normalized), D = c*d
+  * ``bow``      one-hot indicator of the nearest centroid, w = 1, D = c
+  * ``residual`` the descriptor-minus-centroid residual in the centroid's
+                 d-wide block (optionally l2-normalized), w = d, D = c*d
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
 
 
 def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConfig) -> EmbeddedSet:
-    """Embed every descriptor; columns of the result follow the input row order."""
+    """Embed every descriptor; rows of the result follow the input row order."""
     if descriptors.n == 0:
         raise ValueError("cannot embed an empty descriptor set")
     if descriptors.d != codebook.d:
@@ -131,13 +132,10 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
 
     points = descriptors.data.astype(np.float64)
     assignment = _assign_all(points, codebook.centroids)
-    n, d, c = descriptors.n, descriptors.d, codebook.c
+    n, c = descriptors.n, codebook.c
 
     if cfg.kind == "bow":
-        phi = np.zeros((c, n))
-        phi[assignment, np.arange(n)] = 1.0
-        layout = tuple((k, k + 1) for k in range(c))
-        return EmbeddedSet(phi=phi, assignment=assignment, block_layout=layout, unit_columns=True)
+        return EmbeddedSet._trusted(np.ones((n, 1)), assignment, c, unit_columns=True)
 
     residuals = points - codebook.centroids[assignment]
     norms = np.linalg.norm(residuals, axis=1)
@@ -148,8 +146,4 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
         # normalizing it is undefined.
         residuals[nonzero] /= norms[nonzero, None]
         unit = bool(np.all(nonzero))
-    phi = np.zeros((c * d, n))
-    rows = assignment[:, None] * d + np.arange(d)[None, :]
-    phi[rows, np.arange(n)[:, None]] = residuals
-    layout = tuple((k * d, (k + 1) * d) for k in range(c))
-    return EmbeddedSet(phi=phi, assignment=assignment, block_layout=layout, unit_columns=unit)
+    return EmbeddedSet._trusted(residuals, assignment, c, unit_columns=unit)

@@ -6,10 +6,11 @@ weights have the closed form
 
     alpha = (K + lambda I)^-1 1
 
-solved here by conjugate gradients, block by block when the kernel is
-block-diagonal. lambda interpolates between the exact constant-match
-solution (lambda -> 0, where duplicated descriptors stop counting twice)
-and plain sum pooling (lambda -> infinity).
+solved here by conjugate gradients, one independent system per kernel block
+(per centroid, or a single block for a set without block structure).
+lambda interpolates between the exact constant-match solution (lambda -> 0,
+where duplicated descriptors stop counting twice) and plain sum pooling
+(lambda -> infinity).
 """
 
 from __future__ import annotations
@@ -119,13 +120,10 @@ def _solve_system(mat: np.ndarray, cfg: GmpConfig) -> np.ndarray:
 
 
 def gmp_weights(kern: KernelMatrix, cfg: GmpConfig = GmpConfig()) -> WeightVector:
-    """Solve (K + lambda I) alpha = 1 by CG, block by block when possible."""
-    if kern.dense is not None:
-        alpha = _solve_system(kern.dense, cfg)
-    else:
-        alpha = np.empty(kern.n)
-        for block in kern.blocks:
-            alpha[block.indices] = _solve_system(block.values, cfg)
+    """Solve (K + lambda I) alpha = 1 by CG, one independent system per block."""
+    alpha = np.empty(kern.n)
+    for block in kern.blocks:
+        alpha[block.indices] = _solve_system(block.values, cfg)
     return WeightVector(alpha=alpha, method="gmp")
 
 
@@ -133,11 +131,7 @@ def aggregate_gmp(embedded: EmbeddedSet, weights: WeightVector) -> AggregateVect
     """Weighted column sum of the embeddings under GMP weights."""
     if weights.method != "gmp":
         raise ValueError(f"expected gmp weights, got {weights.method!r}")
-    if weights.n != embedded.n:
-        raise ValueError(
-            f"weight vector has length {weights.n}, embeddings have {embedded.n} columns"
-        )
-    return AggregateVector(xi=embedded.phi @ weights.alpha, state=("raw",))
+    return AggregateVector(xi=embedded.pool(weights.alpha), state=("raw",))
 
 
 def gmp_primal(embedded: EmbeddedSet, cfg: GmpConfig = GmpConfig(), dim_cap: int = 1024) -> AggregateVector:

@@ -4,42 +4,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import EmbeddedSet, KernelBlock, KernelMatrix
+from .types import EmbeddedSet, KernelMatrix
 
 
 def gram(embedded: EmbeddedSet) -> KernelMatrix:
-    """Pairwise similarity matrix K[i,j] = phi_i . phi_j.
+    """Pairwise similarity matrix K[i,j] = phi_i . phi_j, built block by block.
 
-    When the embedding carries assignment metadata the kernel is built block
-    by block: columns assigned to different centroids have disjoint support,
-    so their inner products are structurally zero and never computed.
+    Descriptors in different blocks have disjoint support, so their inner
+    products are structurally zero and never computed. Block k is R_k R_k^T
+    over the rows R_k of its descriptors; numpy evaluates that product as a
+    symmetric rank-k update that mirrors one triangle into the other, so every
+    block is exactly symmetric.
     """
     if embedded.n == 0:
         raise ValueError("cannot build a kernel for an empty set")
-    phi = embedded.phi
-    if embedded.assignment is None:
-        return KernelMatrix.from_dense(phi.T @ phi)
-
     blocks = []
-    for k, (start, stop) in enumerate(embedded.block_layout):
-        cols = np.flatnonzero(embedded.assignment == k)
-        if cols.size == 0:
-            continue
-        sub = phi[start:stop, :][:, cols]
-        blocks.append(KernelBlock(indices=cols, values=sub.T @ sub))
-    return KernelMatrix.from_blocks(tuple(blocks), embedded.n)
+    for _, idx in embedded.cells():
+        sub = embedded.rows[idx]
+        blocks.append((idx, sub @ sub.T))
+    return KernelMatrix._trusted(embedded.n, blocks)
 
 
-def _map_storage(kern: KernelMatrix, fn) -> KernelMatrix:
-    if kern.dense is not None:
-        return KernelMatrix(n=kern.n, dense=fn(kern.dense))
-    blocks = tuple(KernelBlock(indices=b.indices, values=fn(b.values)) for b in kern.blocks)
-    return KernelMatrix(n=kern.n, blocks=blocks)
+def _map_blocks(kern: KernelMatrix, fn) -> KernelMatrix:
+    # ``fn`` maps a symmetric block to a new symmetric block of the same
+    # shape, so the result keeps every invariant of the input kernel.
+    return KernelMatrix._trusted(kern.n, ((b.indices, fn(b.values)) for b in kern.blocks))
 
 
 def clip_negatives(kern: KernelMatrix) -> KernelMatrix:
     """Replace every negative entry by 0 (the usual Sinkhorn pre-processing)."""
-    return _map_storage(kern, lambda m: np.maximum(m, 0.0))
+    return _map_blocks(kern, lambda m: np.maximum(m, 0.0))
 
 
 def threshold_sparsify(kern: KernelMatrix, tau: float) -> KernelMatrix:
@@ -60,4 +54,4 @@ def threshold_sparsify(kern: KernelMatrix, tau: float) -> KernelMatrix:
         out[mask] = 0.0
         return out
 
-    return _map_storage(kern, apply)
+    return _map_blocks(kern, apply)

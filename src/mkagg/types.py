@@ -1,7 +1,12 @@
 """Shared domain types for descriptor aggregation pipelines.
 
 All types are immutable after construction and may be shared freely across
-threads. Raw descriptors are stored as float32 (the usual descriptor-file
+threads. Block structure has one representation: an embedded set stores one
+in-block row per descriptor plus the descriptor's block, and a kernel is a
+tuple of diagonal blocks (a dense kernel is one block). The public
+constructors validate their input; the pipeline stages build their results
+through the private ``_trusted`` constructors, which skip what holds by
+construction. Raw descriptors are stored as float32 (the usual descriptor-file
 dtype); everything derived from them (embeddings, kernels, weights,
 aggregates) is kept in float64 so the iterative solvers retain their
 tolerances.
@@ -114,66 +119,135 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-@dataclass(frozen=True)
-class EmbeddedSet:
-    """Per-descriptor embeddings, one column per descriptor (D x n).
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, unvalidated."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
-    When the embedding is block-sparse by centroid, ``assignment`` gives each
-    column's centroid index and ``block_layout`` maps centroid k to the
-    half-open row range occupied by its block. Columns must then be exactly
-    zero outside their own block; the fast kernel path relies on this being
-    structural, not approximate.
+
+@dataclass(frozen=True, init=False)
+class EmbeddedSet:
+    """Per-descriptor embeddings in R^D, stored block by block.
+
+    R^D splits into c contiguous blocks of width w (D = c*w), one per
+    centroid, and descriptor i may be nonzero only in block ``assignment[i]``.
+    ``rows`` is the n x w array of those in-block entries, so block support
+    holds by construction:
+
+      * the residual embedding has w = d;
+      * the bow embedding has w = 1;
+      * a set built from an arbitrary dense matrix is one block, c = 1, w = D.
+
+    The constructor takes the dense D x n matrix ``phi`` (one column per
+    descriptor), optionally with ``assignment`` and a ``block_layout`` of c
+    half-open row ranges that must tile D in order with equal widths, checks
+    that every column is zero outside its block and keeps only the rows.
+    The ``phi`` property materializes the dense matrix again, for tests and
+    reference implementations; the pipeline never reads it.
     """
 
-    phi: np.ndarray
-    assignment: np.ndarray | None = None
-    block_layout: tuple[tuple[int, int], ...] | None = None
-    unit_columns: bool = False
+    rows: np.ndarray
+    assignment: np.ndarray
+    c: int
+    unit_columns: bool
 
-    def __post_init__(self):
-        phi = _as_finite(self.phi, "embeddings", np.float64)
+    def __init__(
+        self,
+        phi: np.ndarray,
+        assignment: np.ndarray | None = None,
+        block_layout: tuple[tuple[int, int], ...] | None = None,
+        unit_columns: bool = False,
+    ):
+        phi = _as_finite(phi, "embeddings", np.float64)
         if phi.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got shape {phi.shape}")
-        object.__setattr__(self, "phi", phi)
-
-        if (self.assignment is None) != (self.block_layout is None):
+        dim, n = phi.shape
+        if (assignment is None) != (block_layout is None):
             raise ValueError("assignment and block_layout must be given together")
-        if self.assignment is not None:
-            assignment = np.ascontiguousarray(self.assignment, dtype=np.int64)
-            if assignment.shape != (phi.shape[1],):
+        if assignment is None:
+            assignment = np.zeros(n, dtype=np.int64)
+            layout = ((0, dim),)
+        else:
+            assignment = np.ascontiguousarray(assignment, dtype=np.int64)
+            if assignment.shape != (n,):
                 raise ValueError("assignment length must match the number of columns")
-            layout = tuple((int(s), int(e)) for s, e in self.block_layout)
+            layout = tuple((int(s), int(e)) for s, e in block_layout)
             for k, (s, e) in enumerate(layout):
-                if not (0 <= s < e <= phi.shape[0]):
+                if not (0 <= s < e <= dim):
                     raise ValueError(f"block {k} range [{s},{e}) is out of bounds")
             if assignment.size and (assignment.min() < 0 or assignment.max() >= len(layout)):
                 raise ValueError("assignment refers to a centroid without a block")
-            object.__setattr__(self, "assignment", assignment)
-            object.__setattr__(self, "block_layout", layout)
-            self._check_block_support(phi, assignment, layout)
+            width = layout[0][1] if layout else 0
+            tiling = tuple((k * width, (k + 1) * width) for k in range(len(layout)))
+            if not layout or layout != tiling or len(layout) * width != dim:
+                raise ValueError("block_layout must tile the embedding rows with equal contiguous blocks")
 
-        if self.unit_columns:
-            norms = np.linalg.norm(phi, axis=0)
+        c = len(layout)
+        rows = np.ascontiguousarray(phi.reshape(c, dim // c, n)[assignment, :, np.arange(n)])
+        # The rows hold every in-block entry, so phi has no other nonzero
+        # entry exactly when both counts agree.
+        if np.count_nonzero(rows) != np.count_nonzero(phi):
+            raise ValueError("column has nonzero entries outside its assigned block")
+        if unit_columns:
+            norms = np.linalg.norm(rows, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise ValueError("unit_columns declared but some column norm is not 1")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "unit_columns", bool(unit_columns))
 
-    @staticmethod
-    def _check_block_support(phi, assignment, layout) -> None:
-        outside = np.ones(phi.shape, dtype=bool)
-        for k, (s, e) in enumerate(layout):
-            cols = np.flatnonzero(assignment == k)
-            if cols.size:
-                outside[s:e, cols] = False
-        if np.any(phi[outside] != 0.0):
-            raise ValueError("column has nonzero entries outside its assigned block")
-
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[0]
+    @classmethod
+    def _trusted(
+        cls, rows: np.ndarray, assignment: np.ndarray, c: int, unit_columns: bool
+    ) -> "EmbeddedSet":
+        """Wrap parts that already hold every invariant: ``rows`` a finite
+        C-contiguous float64 n x w array, ``assignment`` int64 in [0, c), and
+        ``unit_columns`` true only for rows of norm 1. Checks nothing."""
+        return _unchecked(cls, rows=rows, assignment=assignment, c=c, unit_columns=unit_columns)
 
     @property
     def n(self) -> int:
-        return self.phi.shape[1]
+        return self.rows.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.c * self.width
+
+    @property
+    def block_layout(self) -> tuple[tuple[int, int], ...]:
+        w = self.width
+        return tuple((k * w, (k + 1) * w) for k in range(self.c))
+
+    @property
+    def phi(self) -> np.ndarray:
+        """The dense D x n embedding matrix, materialized on every access."""
+        out = np.zeros((self.c, self.width, self.n))
+        out[self.assignment, :, np.arange(self.n)] = self.rows
+        return out.reshape(self.dim, self.n)
+
+    def cells(self) -> list[tuple[int, np.ndarray]]:
+        """(block, ascending descriptor indices) for every nonempty block."""
+        order = np.argsort(self.assignment, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.assignment[order])) + 1
+        return [(int(self.assignment[idx[0]]), idx) for idx in np.split(order, cuts) if idx.size]
+
+    def pool(self, alpha: np.ndarray) -> np.ndarray:
+        """The D-vector sum_i alpha_i phi_i, one product per block."""
+        if alpha.shape[0] != self.n:
+            raise ValueError(
+                f"weight vector has length {alpha.shape[0]}, embeddings have {self.n} columns"
+            )
+        out = np.zeros((self.c, self.width))
+        for k, idx in self.cells():
+            out[k] = alpha[idx] @ self.rows[idx]
+        return out.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -211,51 +285,44 @@ def _check_symmetric(mat: np.ndarray, what: str) -> None:
 class KernelMatrix:
     """The n x n Gram matrix of pairwise embedding similarities.
 
-    Stored either densely or as per-centroid diagonal blocks plus a row
-    permutation (the ``indices`` of each block). The block form represents
-    cross-block entries as exact zeros.
+    Stored as diagonal blocks whose ``indices`` partition the descriptors;
+    entries between different blocks are exact zeros. A matrix without block
+    structure is a single block over every descriptor (``from_dense``).
     """
 
     n: int
-    dense: np.ndarray | None = None
-    blocks: tuple[KernelBlock, ...] | None = None
+    blocks: tuple[KernelBlock, ...]
 
     def __post_init__(self):
-        if (self.dense is None) == (self.blocks is None):
-            raise ValueError("exactly one of dense or blocks must be set")
         if self.n < 1:
             raise ValueError("kernel order must be >= 1")
-        if self.dense is not None:
-            dense = _as_finite(self.dense, "kernel", np.float64)
-            if dense.shape != (self.n, self.n):
-                raise ValueError("dense kernel shape does not match its order")
-            _check_symmetric(dense, "kernel")
-            object.__setattr__(self, "dense", dense)
-        else:
-            blocks = tuple(self.blocks)
-            covered = np.concatenate([b.indices for b in blocks]) if blocks else np.empty(0, np.int64)
-            if not np.array_equal(np.sort(covered), np.arange(self.n)):
-                raise ValueError("block indices must partition the descriptor range")
-            for b in blocks:
-                _check_symmetric(b.values, "kernel block")
-            object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(self.blocks)
+        covered = np.concatenate([b.indices for b in blocks]) if blocks else np.empty(0, np.int64)
+        if not np.array_equal(np.sort(covered), np.arange(self.n)):
+            raise ValueError("block indices must partition the descriptor range")
+        for b in blocks:
+            _check_symmetric(b.values, "kernel block")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "KernelMatrix":
         mat = np.asarray(mat, dtype=np.float64)
-        return cls(n=mat.shape[0], dense=mat)
+        n = mat.shape[0]
+        return cls(n=n, blocks=(KernelBlock(indices=np.arange(n), values=mat),))
 
     @classmethod
     def from_blocks(cls, blocks: tuple[KernelBlock, ...], n: int) -> "KernelMatrix":
         return cls(n=n, blocks=tuple(blocks))
 
-    @property
-    def is_block(self) -> bool:
-        return self.blocks is not None
+    @classmethod
+    def _trusted(cls, n: int, blocks) -> "KernelMatrix":
+        """Wrap (indices, values) pairs that already hold every invariant:
+        ascending int64 indices partitioning range(n), finite float64 values
+        that are exactly symmetric. Checks nothing."""
+        blocks = tuple(_unchecked(KernelBlock, indices=idx, values=vals) for idx, vals in blocks)
+        return _unchecked(cls, n=n, blocks=blocks)
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense.copy()
         out = np.zeros((self.n, self.n))
         for b in self.blocks:
             out[np.ix_(b.indices, b.indices)] = b.values
@@ -265,24 +332,18 @@ class KernelMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError("vector length does not match kernel order")
-        if self.dense is not None:
-            return self.dense @ v
         out = np.zeros(self.n)
         for b in self.blocks:
             out[b.indices] = b.values @ v[b.indices]
         return out
 
     def diagonal(self) -> np.ndarray:
-        if self.dense is not None:
-            return np.diag(self.dense).copy()
         out = np.zeros(self.n)
         for b in self.blocks:
             out[b.indices] = np.diag(b.values)
         return out
 
     def abs_row_sums(self) -> np.ndarray:
-        if self.dense is not None:
-            return np.abs(self.dense).sum(axis=1)
         out = np.zeros(self.n)
         for b in self.blocks:
             out[b.indices] = np.abs(b.values).sum(axis=1)

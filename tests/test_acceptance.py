@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from mkagg.cli import bench_rows, main
+from mkagg.cli import main
 from mkagg.democratic import (
     DemocraticConfig,
     aggregate_democratic,
@@ -32,6 +32,7 @@ from mkagg.types import (
     KernelMatrix,
     WeightVector,
 )
+from oracles import bench_rows
 
 # Seeds for the directional retrieval claim; the claim is asserted on exactly
 # these instances, not universally.

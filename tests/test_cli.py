@@ -246,21 +246,6 @@ class TestDemo2d:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestBench:
-    def test_schema_and_agreement(self, capsys):
-        assert main(["bench", "--sizes", "40", "--clusters", "4"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        header = lines[0].split("\t")
-        assert header == ["n", "c", "stage", "wall_dense_s", "cpu_dense_s",
-                          "wall_block_s", "cpu_block_s", "max_abs_diff"]
-        stages = set()
-        for line in lines[1:]:
-            fields = line.split("\t")
-            stages.add(fields[2])
-            assert float(fields[-1]) <= 1e-6
-        assert stages == {"gram", "sum", "democratic", "gmp"}
-
-
 class TestFilePipelineMatchesInProcess:
     def test_aggregate_then_normalize(self, toy_files, tmp_path):
         """Composing stages through files only loses float32 rounding."""
