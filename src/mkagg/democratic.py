@@ -46,7 +46,9 @@ def sinkhorn_weights(kern: KernelMatrix, cfg: DemocraticConfig = DemocraticConfi
     work = kernel_mod.clip_negatives(kern) if cfg.clip else kern
     n = work.n
     alpha = np.ones(n)
-    active = work.abs_row_sums() > 0.0
+    # A clipped kernel is nonnegative, so its plain row sums find the zero
+    # rows without an |K| temporary per block.
+    active = (work.matvec(np.ones(n)) if cfg.clip else work.abs_row_sums()) > 0.0
 
     for _ in range(cfg.n_iter):
         sigma = alpha * work.matvec(alpha)

@@ -20,7 +20,9 @@ from .types import Codebook, DescriptorSet, EmbeddedSet
 
 EMBEDDING_KINDS = ("bow", "residual")
 
-_ASSIGN_CHUNK = 4096
+# Bytes that one chunk of centroid scores (rows x c float64) may take. A
+# fixed bound on the assignment's working memory, not a setting.
+_ASSIGN_BUDGET = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -36,20 +38,76 @@ class EmbeddingConfig:
         return codebook.c if self.kind == "bow" else codebook.c * codebook.d
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Materialize the differences rather than using x^2 + c^2 - 2xc: the
-    # direct form keeps exact ties exact, so tie-breaking is reproducible.
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
+def _direct_argmin(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # The direct form sum_j (x_j - c_j)^2 over every centroid, in chunks of
+    # rows whose rows x c x d difference tensor fits the budget; argmin takes
+    # the lowest index on ties. It defines the assignment, but it only runs
+    # on the rows that the GEMM pass of _nearest_centroids cannot settle.
+    c, d = centroids.shape
+    step = max(1, _ASSIGN_BUDGET // (8 * c * d))
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], step):
+        diff = points[start : start + step, None, :] - centroids[None, :, :]
+        out[start : start + step] = np.argmin(np.einsum("ncd,ncd->nc", diff, diff), axis=1)
+    return out
 
 
-def _assign_all(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _ASSIGN_CHUNK):
-        stop = min(start + _ASSIGN_CHUNK, n)
-        d2 = _squared_distances(points[start:stop], centroids)
-        out[start:stop] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid, exactly as ``_direct_argmin``.
+
+    Scores come from one GEMM per chunk, g = |x|^2 - 2 x.c + |c|^2, and a row
+    is re-checked with the direct form e = sum_j (x_j - c_j)^2 unless exactly
+    one centroid scores within tol_i of the row minimum. Why tol_i suffices,
+    with u = 2^-53, gamma_k = k u / (1 - k u), D = |x - c|^2 the exact
+    distance and M_i = |x_i|^2 + max_k |c_k|^2 (``scale`` below), by the
+    standard rounding-error bounds, which hold for any summation order and
+    with fused multiply-adds:
+
+      * GEMM: |x|^2, |c|^2 and x.c are each within gamma_d of |x|^2, |c|^2
+        and |x||c|; two more roundings add gamma_2 of |x|^2 + 2|x.c| + |c|^2
+        <= 2 M_i, so |g - D| <= 2 gamma_{d+2} M_i.
+      * Direct form: the difference, its square and a sum of d nonnegative
+        terms give |e - D| <= gamma_{d+2} D <= 2 gamma_{d+2} M_i, since
+        D <= (|x| + |c|)^2 <= 2 M_i.
+      * So |g - e| <= 4 gamma_{d+2} M_i for every centroid. If k* is the
+        direct-form argmin and m = g[k_g] the GEMM minimum, then
+        g[k*] <= e[k*] + 4 gamma M_i <= e[k_g] + 4 gamma M_i <= m + 8 gamma M_i.
+        Every centroid tying k* in e is bounded the same way.
+
+    tol_i = 8 gamma_{d+3} M_i: the extra gamma over 8 gamma_{d+2} M_i covers
+    the rounding of tol_i and of m + tol_i (at most about 2 u M_i, as
+    |m| <= 2 M_i (1 + gamma)). Products that underflow add at most one half
+    of 2^-1074 each, 5d of them in g - e, covered by the d 2^-1070 term. A
+    row with one candidate thus has the direct form's lowest-index argmin;
+    rows with more, or whose scores could overflow, take the direct form.
+    Rows are chunked so that the scores stay within ``_ASSIGN_BUDGET``.
+    """
+    c, d = centroids.shape
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    c_sq_max = float(c_sq.max())
+    tol_scale = 8.0 * (d + 3) * 2.0**-53 / (1.0 - (d + 3) * 2.0**-53)
+    tol_floor = d * 2.0**-1070
+    # Every partial result of g stays below 4 M_i, so below this no score overflows.
+    scale_limit = np.finfo(np.float64).max / 4.0
+    step = max(1, _ASSIGN_BUDGET // (8 * c))
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], step):
+        x = points[start : start + step]
+        x_sq = np.einsum("nd,nd->n", x, x)
+        scores = x @ centroids.T
+        scores *= -2.0
+        scores += x_sq[:, None]
+        scores += c_sq
+        best = np.argmin(scores, axis=1)
+        scale = x_sq + c_sq_max
+        thresh = np.take_along_axis(scores, best[:, None], axis=1)[:, 0]
+        thresh += tol_scale * scale + tol_floor
+        ambiguous = np.flatnonzero(
+            (np.count_nonzero(scores <= thresh[:, None], axis=1) != 1) | ~(scale < scale_limit)
+        )
+        if ambiguous.size:
+            best[ambiguous] = _direct_argmin(x[ambiguous], centroids)
+        out[start : start + step] = best
     return out
 
 
@@ -63,7 +121,7 @@ def assign_hard(x: np.ndarray, codebook: Codebook) -> int:
         raise ValueError("descriptor must be finite")
     if x.shape[0] != codebook.d:
         raise ValueError(f"descriptor has dimension {x.shape[0]}, codebook expects {codebook.d}")
-    return int(_assign_all(x[None, :], codebook.centroids)[0])
+    return int(_nearest_centroids(x[None, :], codebook.centroids)[0])
 
 
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,7 +145,9 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
     """Lloyd's k-means with k-means++ seeding; deterministic for a fixed seed.
 
     Clusters that empty out are re-seeded from the point currently farthest
-    from its assigned centroid.
+    from its assigned centroid. Each iteration's assignment works in chunks
+    under a fixed byte budget, so its memory is bounded whatever the number
+    of points and clusters.
     """
     if c < 1:
         raise ValueError("cluster count must be >= 1")
@@ -102,9 +162,9 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
 
     assignment = np.full(training.n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _squared_distances(points, centers)
-        new_assignment = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(training.n), new_assignment]
+        new_assignment = _nearest_centroids(points, centers)
+        diff = points - centers[new_assignment]
+        point_d2 = np.einsum("nd,nd->n", diff, diff)
         for k in range(c):
             members = new_assignment == k
             if np.any(members):
@@ -131,7 +191,7 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
         )
 
     points = descriptors.data.astype(np.float64)
-    assignment = _assign_all(points, codebook.centroids)
+    assignment = _nearest_centroids(points, codebook.centroids)
     n, c = descriptors.n, codebook.c
 
     if cfg.kind == "bow":

@@ -16,6 +16,7 @@ implementations in other languages.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,27 +70,30 @@ def write_matrix_file(path: str | Path, magic: bytes, matrix: np.ndarray) -> Non
 def read_matrix_file(path: str | Path, expected_magic: bytes) -> tuple[np.ndarray, MatrixHeader]:
     """Read a matrix file, checking its magic tag, and return (matrix, header)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_SIZE:
-        raise TruncatedFileError(f"{path}: header requires {HEADER_SIZE} bytes, file has {len(raw)}")
-    magic, version, rows, cols = _HEADER.unpack_from(raw)
-    if magic != bytes(expected_magic):
-        raise BadMagicError(f"{path}: magic is {magic!r}, expected {bytes(expected_magic)!r}")
-    if version != FORMAT_VERSION:
-        raise BadVersionError(f"{path}: version is {version}, expected {FORMAT_VERSION}")
-    if rows > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: rows field {rows} overflows the supported range")
-    if cols > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: cols field {cols} overflows the supported range")
-    count = rows * cols
-    if count > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: rows*cols = {count} overflows the supported range")
-    payload = raw[HEADER_SIZE:]
-    if len(payload) != 4 * count:
-        raise TruncatedFileError(
-            f"{path}: payload holds {len(payload) // 4} float32 values, header promises {count}"
-        )
-    mat = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+        raw = fh.read(HEADER_SIZE)
+        if len(raw) < HEADER_SIZE:
+            raise TruncatedFileError(f"{path}: header requires {HEADER_SIZE} bytes, file has {len(raw)}")
+        magic, version, rows, cols = _HEADER.unpack_from(raw)
+        if magic != bytes(expected_magic):
+            raise BadMagicError(f"{path}: magic is {magic!r}, expected {bytes(expected_magic)!r}")
+        if version != FORMAT_VERSION:
+            raise BadVersionError(f"{path}: version is {version}, expected {FORMAT_VERSION}")
+        if rows > _MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: rows field {rows} overflows the supported range")
+        if cols > _MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: cols field {cols} overflows the supported range")
+        count = rows * cols
+        if count > _MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: rows*cols = {count} overflows the supported range")
+        payload = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if payload != 4 * count:
+            raise TruncatedFileError(
+                f"{path}: payload holds {payload // 4} float32 values, header promises {count}"
+            )
+        # Read the payload straight into the matrix, with no bytes copy of it.
+        mat = np.empty((rows, cols), dtype="<f4")
+        if fh.readinto(mat) != 4 * count:
+            raise TruncatedFileError(f"{path}: file ended before its {count} float32 values")
     return mat, MatrixHeader(magic=magic, version=version, rows=rows, cols=cols)
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from .types import AggregateVector, ZeroVectorError
 
 _ORTHO_TOL = 1e-6
+# Bytes of R^T R that the orthonormality check holds at once.
+_ORTHO_PANEL_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,15 @@ class NormalizeConfig:
             rot = np.ascontiguousarray(self.rotation, dtype=np.float64)
             if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
                 raise ValueError("rotation must be a square matrix")
-            if np.max(np.abs(rot.T @ rot - np.eye(rot.shape[0]))) > _ORTHO_TOL:
-                raise ValueError("rotation matrix is not orthonormal")
+            # max |R^T R - I| one panel of rows at a time, in place, so a check
+            # (one per per-file normalize call) holds no D x D temporary.
+            dim = rot.shape[1]
+            step = max(1, _ORTHO_PANEL_BYTES // (8 * dim))
+            for start in range(0, dim, step):
+                panel = rot[:, start : start + step].T @ rot
+                panel[:, start : start + step][np.diag_indices(panel.shape[0])] -= 1.0
+                if np.max(np.abs(panel, out=panel)) > _ORTHO_TOL:
+                    raise ValueError("rotation matrix is not orthonormal")
             object.__setattr__(self, "rotation", rot)
         if self.truncate_to is not None and self.truncate_to < 1:
             raise ValueError("truncation size must be >= 1")

@@ -104,10 +104,15 @@ class Codebook:
         cent = _as_finite(self.centroids, "centroids", np.float64)
         if cent.ndim != 2 or cent.shape[0] < 1:
             raise ValueError(f"centroids must be a nonempty 2-D array, got shape {cent.shape}")
-        # Duplicate centroids would make hard assignment ambiguous.
-        for i in range(cent.shape[0]):
-            if np.any(np.all(cent[i + 1 :] == cent[i], axis=1)):
-                raise ValueError(f"centroid {i} is duplicated")
+        # Duplicate centroids would make hard assignment ambiguous. Rows equal
+        # under == (so -0.0 equals 0.0) are adjacent after a lexicographic
+        # sort; report the lowest index that has a later duplicate.
+        order = np.lexsort(cent.T)
+        ordered = cent[order]
+        dup = np.all(ordered[1:] == ordered[:-1], axis=1)
+        if np.any(dup):
+            first = np.minimum(order[1:], order[:-1])[dup].min()
+            raise ValueError(f"centroid {first} is duplicated")
         object.__setattr__(self, "centroids", cent)
 
     @property

@@ -3,6 +3,11 @@
 ``bench_rows`` times the kernel and weight layers of a residual embedding
 against the same embedding held as one dense block; acceptance criterion 5
 reads its speedup and path agreement.
+
+``assign_direct`` and ``lloyd_direct`` are nearest-centroid assignment and
+Lloyd's loop as they were before assignment moved to a GEMM first pass: the
+direct form sum_j (x_j - c_j)^2 over a chunk x c x d difference tensor. The
+GEMM path must reproduce them bit for bit.
 """
 
 import time
@@ -15,10 +20,55 @@ from mkagg.democratic import (
     aggregate_sum,
     sinkhorn_weights,
 )
-from mkagg.embed import EmbeddingConfig, embed_set
+from mkagg.embed import EmbeddingConfig, _kmeanspp_init, embed_set
 from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg.kernel import gram
 from mkagg.types import Codebook, DescriptorSet, EmbeddedSet
+
+_ASSIGN_CHUNK = 4096
+
+
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # Materialize the differences rather than using x^2 + c^2 - 2xc: the
+    # direct form keeps exact ties exact, so tie-breaking is reproducible.
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("ncd,ncd->nc", diff, diff)
+
+
+def assign_direct(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    n = points.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _ASSIGN_CHUNK):
+        stop = min(start + _ASSIGN_CHUNK, n)
+        d2 = _squared_distances(points[start:stop], centroids)
+        out[start:stop] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+    return out
+
+
+def lloyd_direct(training: DescriptorSet, c: int, seed: int, max_iters: int = 100) -> np.ndarray:
+    """Centroids of ``train_codebook``'s Lloyd loop over unchunked direct-form distances."""
+    points = training.data.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    centers = _kmeanspp_init(points, c, rng)
+
+    assignment = np.full(training.n, -1, dtype=np.int64)
+    for _ in range(max_iters):
+        d2 = _squared_distances(points, centers)
+        new_assignment = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(training.n), new_assignment]
+        for k in range(c):
+            members = new_assignment == k
+            if np.any(members):
+                centers[k] = points[members].mean(axis=0)
+            else:
+                far = int(np.argmax(point_d2))
+                centers[k] = points[far]
+                new_assignment[far] = k
+                point_d2[far] = 0.0
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centers
 
 
 def _timed(fn):

@@ -105,6 +105,21 @@ class TestSinkhornWeights:
         w = sinkhorn_weights(KernelMatrix.from_dense(mat), DemocraticConfig(gamma=0.5))
         np.testing.assert_array_equal(w.alpha, [1.0, 1.0, 1.0])
 
+    def test_clipped_row_without_positive_entry_keeps_unit_weight(self):
+        mat = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
+        w = sinkhorn_weights(KernelMatrix.from_dense(mat), DemocraticConfig(gamma=0.5))
+        np.testing.assert_array_equal(w.alpha, [1.0, 1.0, 1.0])
+
+    def test_clip_paths_agree_on_nonnegative_kernel(self):
+        """Row sums (clip) and absolute row sums (no clip) find the same zero rows."""
+        mat = _random_clipped_kernel(12).to_dense()
+        mat[4, :] = mat[:, 4] = 0.0
+        kern = KernelMatrix.from_dense(mat)
+        clipped = sinkhorn_weights(kern, DemocraticConfig(clip=True))
+        unclipped = sinkhorn_weights(kern, DemocraticConfig(clip=False))
+        assert clipped.alpha[4] == 1.0
+        assert clipped.alpha.tobytes() == unclipped.alpha.tobytes()
+
     def test_unclipped_negative_row_sum_raises(self):
         mat = np.array([[1.0, -2.0], [-2.0, 1.0]])
         with pytest.raises(ScalingError, match="clip"):

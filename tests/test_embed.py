@@ -1,10 +1,28 @@
 """Codebook training, hard assignment, and the two embeddings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import assign_direct, lloyd_direct
 
+from mkagg import embed
 from mkagg.embed import EmbeddingConfig, assign_hard, embed_set, train_codebook
 from mkagg.types import Codebook, DescriptorSet
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _lloyd_oracle(points, c, seed, iters=200):
@@ -176,3 +194,143 @@ class TestEmbedSet:
         cb = Codebook(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match="match"):
             embed_set(ds, cb, EmbeddingConfig("bow"))
+
+
+@st.composite
+def grid_problems(draw):
+    """(points, centroids) on a half-integer grid around integer centroids.
+
+    Midpoints and centroids at equal distance give exact ties in the direct
+    form; a large common offset makes the GEMM scores cancel; repeated rows
+    give duplicated points; c may be 1.
+    """
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 8))
+    offset = draw(st.sampled_from([0.0, 0.5, 1e6, -1e6, 1e8]))
+    cells = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=c, max_size=c, unique=True)
+    )
+    n = draw(st.integers(1, 40))
+    halves = draw(arrays(np.int64, (n, d), elements=st.integers(-6, 6)))
+    repeat = draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    points = halves[repeat] / 2.0 + offset
+    return points, np.array(cells, dtype=np.float64) + offset
+
+
+class TestExactAssignment:
+    """The GEMM first pass with its re-check must equal the direct form exactly."""
+
+    @PROPERTY
+    @given(grid_problems())
+    def test_matches_direct_form_on_ties_and_offsets(self, problem):
+        points, centroids = problem
+        np.testing.assert_array_equal(
+            embed._nearest_centroids(points, centroids), assign_direct(points, centroids)
+        )
+
+    @PROPERTY
+    @given(grid_problems(), st.integers(1, 5))
+    def test_matches_direct_form_across_chunk_boundaries(self, problem, rows_per_chunk):
+        points, centroids = problem
+        budget = 8 * centroids.shape[0] * rows_per_chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "_ASSIGN_BUDGET", budget)
+            got = embed._nearest_centroids(points, centroids)
+            emb = embed_set(
+                DescriptorSet(points.astype(np.float32)), Codebook(centroids), EmbeddingConfig()
+            )
+        np.testing.assert_array_equal(got, assign_direct(points, centroids))
+        np.testing.assert_array_equal(
+            emb.assignment, assign_direct(points.astype(np.float32).astype(np.float64), centroids)
+        )
+
+    def test_single_centroid(self):
+        points = np.random.default_rng(0).normal(size=(7, 3))
+        np.testing.assert_array_equal(
+            embed._nearest_centroids(points, np.zeros((1, 3))), np.zeros(7, dtype=np.int64)
+        )
+
+    def test_overflowing_scores_fall_back_to_direct_form(self):
+        """Where |x|^2 - 2 x.c + |c|^2 could overflow, the direct form decides, infinities and all."""
+        line = [[1e150], [-1e150], [0.0], [1e154]]
+        cases = [
+            (line, [[-1e160], [1e160]]),
+            (line, [[1e154], [-1e154]]),
+            (line, [[3.0], [1e154]]),
+            # 2 x.c overflows to -inf for the farther centroid only.
+            ([[1e154, 0.0]], [[0.89e154, 0.0], [0.95e154, 0.5e154]]),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for points, centroids in cases:
+                points, centroids = np.array(points), np.array(centroids)
+                np.testing.assert_array_equal(
+                    embed._nearest_centroids(points, centroids), assign_direct(points, centroids)
+                )
+
+    def test_only_ties_reach_the_direct_form(self, monkeypatch):
+        """Generic rows are settled by the GEMM pass; exact midpoints are re-checked."""
+        rechecked = []
+        direct = embed._direct_argmin
+
+        def spy(points, centroids):
+            rechecked.append(points.shape[0])
+            return direct(points, centroids)
+
+        monkeypatch.setattr(embed, "_direct_argmin", spy)
+        rng = np.random.default_rng(8)
+        embed._nearest_centroids(rng.normal(size=(500, 16)), rng.normal(size=(32, 16)))
+        assert rechecked == []
+        # Rows 1 and 2 sit halfway between two centroids.
+        line = np.array([[0.0], [0.5], [-0.5], [0.9]])
+        got = embed._nearest_centroids(line, np.array([[0.0], [1.0], [-1.0]]))
+        assert got.tolist() == [0, 0, 0, 1]
+        assert rechecked == [2]
+
+    def test_scores_stay_within_budget(self):
+        """20k rows x 256 centroids: the unchunked scores alone would take 41 MB."""
+        rng = np.random.default_rng(11)
+        points, centroids = rng.normal(size=(20_000, 8)), rng.normal(size=(256, 8))
+        assert _traced_peak_mb(lambda: embed._nearest_centroids(points, centroids)) < 16.0
+
+    def test_all_rows_ambiguous_stays_within_budget(self):
+        """Every row ties all 256 centroids, so every row takes the chunked direct form."""
+        centroids = np.vstack([np.eye(128), -np.eye(128)])
+        points = np.zeros((2_000, 128))
+        # Unchunked, the direct form would hold a 2000 x 256 x 128 tensor (524 MB).
+        peak = _traced_peak_mb(lambda: embed._nearest_centroids(points, centroids))
+        assert peak < 16.0
+        np.testing.assert_array_equal(
+            embed._nearest_centroids(points, centroids), np.zeros(2_000, dtype=np.int64)
+        )
+
+
+class TestLloydMatchesDirectForm:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_byte_identical_centroids(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(scale=4.0, size=(5, 6))
+        blobs = np.vstack([center + rng.normal(size=(40, 6)) for center in centers])
+        # Repeated points leave clusters empty, which exercises re-seeding.
+        blobs = np.vstack([blobs, np.repeat(blobs[:3], 20, axis=0)]).astype(np.float32)
+        for c in (2, 5, 9):
+            got = train_codebook(DescriptorSet(blobs), c=c, seed=seed).centroids
+            assert got.tobytes() == lloyd_direct(DescriptorSet(blobs), c=c, seed=seed).tobytes()
+
+
+class TestAssignmentMemory:
+    def test_embed_set_peak_bounded_at_paper_scale(self):
+        """d=128, c=256, n=10k: the set's rows are 10 MB, a c x d x n tensor 2.6 GB."""
+        rng = np.random.default_rng(9)
+        descriptors = DescriptorSet(rng.normal(size=(10_000, 128)).astype(np.float32))
+        codebook = Codebook(rng.normal(size=(256, 128)))
+        peak = _traced_peak_mb(lambda: embed_set(descriptors, codebook, EmbeddingConfig()))
+        assert peak < 64.0
+
+    def test_train_codebook_peak_flat_in_c(self):
+        rng = np.random.default_rng(10)
+        training = DescriptorSet(rng.normal(size=(8_000, 128)).astype(np.float32))
+        peaks = {
+            c: _traced_peak_mb(lambda c=c: train_codebook(training, c=c, seed=0, max_iters=2))
+            for c in (16, 256)
+        }
+        assert peaks[256] - peaks[16] < 4.0

@@ -1,5 +1,6 @@
 """Binary matrix format: round-trips and malformed-file handling."""
 
+import os
 import struct
 
 import numpy as np
@@ -70,6 +71,17 @@ class TestMalformedFiles:
         header = struct.pack("<4sIQQ", b"MKDS", 1, 2, 3)
         path.write_bytes(header + b"\x00" * (4 * 5))
         with pytest.raises(TruncatedFileError, match="payload"):
+            matio.read_matrix_file(path, matio.MAGIC_DESCRIPTORS)
+
+    def test_file_shorter_than_its_size_on_open(self, tmp_path, monkeypatch):
+        """A payload that ends early while being read is an error, not uninitialized data."""
+        path = tmp_path / "m.mkds"
+        matio.write_matrix_file(path, matio.MAGIC_DESCRIPTORS, np.ones((2, 2)))
+        full = os.stat(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(full.st_size - 4)
+        monkeypatch.setattr(matio.os, "fstat", lambda fd: full)
+        with pytest.raises(TruncatedFileError, match="ended"):
             matio.read_matrix_file(path, matio.MAGIC_DESCRIPTORS)
 
     def test_truncated_header(self, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mkagg import normalize
 from mkagg.democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from mkagg.kernel import gram
 from mkagg.normalize import (
@@ -161,6 +162,21 @@ class TestApplyChain:
             NormalizeConfig(rotation=np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="exponent"):
             NormalizeConfig(alpha_exponent=1.5)
+
+
+class TestOrthonormalityCheck:
+    @pytest.mark.parametrize("panel_rows", [1, 3, 10])
+    def test_every_panel_is_checked(self, monkeypatch, panel_rows):
+        """R^T R is checked in panels of rows; a defect in any of them is found."""
+        monkeypatch.setattr(normalize, "_ORTHO_PANEL_BYTES", 8 * 10 * panel_rows)
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(10, 10)))[0]
+        assert NormalizeConfig(rotation=q).rotation is not None
+        for j in (0, 4, 9):
+            # A stretched column moves only the diagonal entry j of R^T R.
+            bad = q.copy()
+            bad[:, j] *= 1.0 + 1e-4
+            with pytest.raises(ValueError, match="orthonormal"):
+                NormalizeConfig(rotation=bad)
 
 
 class TestSimilarity:

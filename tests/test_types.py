@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mkagg.types import (
     AggregateVector,
@@ -43,6 +46,30 @@ class TestCodebook:
     def test_accepts_distinct(self):
         cb = Codebook(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert cb.c == 2 and cb.d == 2
+
+    def test_duplicate_names_lowest_index_with_later_duplicate(self):
+        # Rows 2 and 4 sort first, but row 1 is the lowest with a later copy.
+        cent = np.array([[9.0, 9.0], [3.0, 3.0], [0.0, 1.0], [3.0, 3.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^centroid 1 is duplicated$"):
+            Codebook(cent)
+
+    def test_negative_zero_equals_zero(self):
+        with pytest.raises(ValueError, match=r"^centroid 0 is duplicated$"):
+            Codebook(np.array([[0.0, 1.0], [2.0, 2.0], [-0.0, 1.0]]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                  elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])))
+    def test_duplicate_check_matches_pairwise_scan(self, cent):
+        expected = next(
+            (i for i in range(cent.shape[0]) if np.any(np.all(cent[i + 1 :] == cent[i], axis=1))),
+            None,
+        )
+        if expected is None:
+            assert Codebook(cent).c == cent.shape[0]
+        else:
+            with pytest.raises(ValueError, match=rf"^centroid {expected} is duplicated$"):
+                Codebook(cent)
 
 
 class TestEmbeddedSet:
