@@ -8,7 +8,7 @@ max pooling), aggregate, normalize, and evaluate retrieval quality.
 
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from .embed import EmbeddingConfig, assign_hard, embed_set, train_codebook
-from .gmp import GmpConfig, aggregate_gmp, gmp_primal, gmp_weights, maxpool_oracle
+from .gmp import GmpConfig, aggregate_gmp, gmp_weights
 from .kernel import clip_negatives, gram, threshold_sparsify
 from .matio import (
     MAGIC_CODEBOOK,
@@ -28,10 +28,8 @@ from .normalize import (
 )
 from .retrieval import (
     GroundTruth,
-    SyntheticSpec,
     average_precision,
     export_weights,
-    generate_synthetic,
     mean_average_precision,
     rank,
     read_ground_truth,
@@ -43,7 +41,6 @@ from .types import (
     BadMagicError,
     BadVersionError,
     Codebook,
-    ConvergenceError,
     DataFormatError,
     DescriptorSet,
     DimensionOverflowError,
@@ -64,7 +61,6 @@ __all__ = [
     "BadMagicError",
     "BadVersionError",
     "Codebook",
-    "ConvergenceError",
     "DataFormatError",
     "DemocraticConfig",
     "DescriptorSet",
@@ -82,7 +78,6 @@ __all__ = [
     "NormalizeConfig",
     "NumericalError",
     "ScalingError",
-    "SyntheticSpec",
     "TruncatedFileError",
     "WeightVector",
     "ZeroVectorError",
@@ -95,12 +90,9 @@ __all__ = [
     "clip_negatives",
     "embed_set",
     "export_weights",
-    "generate_synthetic",
-    "gmp_primal",
     "gmp_weights",
     "gram",
     "l2_normalize",
-    "maxpool_oracle",
     "mean_average_precision",
     "power_law",
     "rank",

@@ -1,7 +1,9 @@
 """Command-line surface for the aggregation pipeline.
 
 Exit codes: 0 success, 2 usage or precondition error, 3 data-format error,
-4 numerical failure (solver non-convergence, zero-vector normalization).
+4 numerical failure (Sinkhorn scaling failure, zero-vector normalization).
+A NaN or infinity in the payload of a descriptor, codebook or vector file
+exits 2: the file is well-formed, but its values fail a precondition.
 The argument parser is built once per process and reused by every ``main``
 call. ``--threads`` is accepted for compatibility and ignored: every stage
 runs in the calling thread, with BLAS doing its own threading.
@@ -51,15 +53,15 @@ def cmd_train_codebook(args) -> int:
 
 
 def _aggregate_one(embedded: EmbeddedSet, args):
-    """Returns (aggregate, weights, kernel); the kernel is None for sum unless dumped."""
+    """Returns (aggregate, weights, kernel); only democratic weighting reads the
+    kernel, so for sum and gmp it is built only to dump the weights, else None."""
+    kern = gram(embedded) if args.dump_weights or args.method == "democratic" else None
     if args.method == "sum":
-        kern = gram(embedded) if args.dump_weights else None
         return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform"), kern
-    kern = gram(embedded)
     if args.method == "democratic":
         weights = sinkhorn_weights(kern, DemocraticConfig(gamma=args.gamma, n_iter=args.iters))
         return aggregate_democratic(embedded, weights), weights, kern
-    weights = gmp_weights(kern, GmpConfig(lam=args.lam))
+    weights = gmp_weights(embedded, GmpConfig(lam=args.lam))
     return aggregate_gmp(embedded, weights), weights, kern
 
 

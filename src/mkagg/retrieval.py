@@ -1,4 +1,4 @@
-"""Ranking, mean-average-precision evaluation, and synthetic bursty data.
+"""Ranking and mean-average-precision evaluation.
 
 Ground truth distinguishes relevant items from junk items; junk ids are
 deleted from a ranking before average precision is computed, and a flag
@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .normalize import similarity
-from .types import AggregateVector, DataFormatError, DescriptorSet, KernelMatrix, WeightVector
+from .types import AggregateVector, DataFormatError, KernelMatrix, WeightVector
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,6 @@ class GroundTruth:
                 raise ValueError(f"query {q!r}: ids {sorted(overlap)} are both relevant and junk")
         object.__setattr__(self, "relevant", relevant)
         object.__setattr__(self, "junk", junk)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Parameters of the generated bursty toy datasets."""
-
-    n_images: int
-    burst_size: int
-    n_distinct: int
-    d: int
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_images", "burst_size", "n_distinct", "d"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
 
 
 def rank(
@@ -106,75 +87,6 @@ def mean_average_precision(
             average_precision(ranked, rel, junk, exclude_id=qid if exclude_self else None)
         )
     return float(np.mean(aps))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else v
-
-
-def _separated_unit(rng: np.random.Generator, existing: list[np.ndarray], d: int) -> np.ndarray:
-    # Rejection-sample a direction away from the ones drawn so far; fall back
-    # to the least-aligned candidate when the space is too small to separate.
-    best, best_score = None, np.inf
-    for _ in range(64):
-        cand = _unit(rng.normal(size=d))
-        score = max((abs(cand @ e) for e in existing), default=0.0)
-        if score < 0.8:
-            return cand
-        if score < best_score:
-            best, best_score = cand, score
-    return best
-
-
-def generate_synthetic(
-    spec: SyntheticSpec,
-) -> tuple[list[tuple[str, DescriptorSet]], GroundTruth]:
-    """Build a deterministic bursty dataset.
-
-    Every image holds ``burst_size`` near-duplicates of one globally shared
-    bursty direction plus ``n_distinct`` distinctive descriptors. Images are
-    grouped in pairs (the last group absorbs a leftover image); a group shares
-    its distinctive directions, which defines mutual relevance.
-    """
-    rng = np.random.default_rng(spec.seed)
-    ids = [f"img{i:04d}" for i in range(spec.n_images)]
-
-    groups: list[list[int]] = []
-    i = 0
-    while i < spec.n_images:
-        if spec.n_images - i == 3:
-            groups.append([i, i + 1, i + 2])
-            i += 3
-        else:
-            groups.append(list(range(i, min(i + 2, spec.n_images))))
-            i += 2
-
-    modes: list[np.ndarray] = []
-    burst_mode = _separated_unit(rng, modes, spec.d)
-    modes.append(burst_mode)
-    group_modes = []
-    for _ in groups:
-        rows = []
-        for _ in range(spec.n_distinct):
-            m = _separated_unit(rng, modes, spec.d)
-            modes.append(m)
-            rows.append(m)
-        group_modes.append(np.stack(rows))
-
-    images: list[tuple[str, DescriptorSet]] = []
-    relevant: dict[str, frozenset[str]] = {}
-    for g, members in enumerate(groups):
-        for idx in members:
-            burst = burst_mode + spec.noise_sigma * rng.normal(size=(spec.burst_size, spec.d))
-            distinct = group_modes[g] + spec.noise_sigma * rng.normal(
-                size=(spec.n_distinct, spec.d)
-            )
-            images.append((ids[idx], DescriptorSet(np.vstack([burst, distinct]))))
-            relevant[ids[idx]] = frozenset(ids[m] for m in members if m != idx)
-
-    images.sort(key=lambda pair: pair[0])
-    return images, GroundTruth(relevant=relevant)
 
 
 def export_weights(

@@ -8,8 +8,7 @@ constructors validate their input; the pipeline stages build their results
 through the private ``_trusted`` constructors, which skip what holds by
 construction. Raw descriptors are stored as float32 (the usual descriptor-file
 dtype); everything derived from them (embeddings, kernels, weights,
-aggregates) is kept in float64 so the iterative solvers retain their
-tolerances.
+aggregates) is kept in float64.
 """
 
 from __future__ import annotations
@@ -40,15 +39,7 @@ class DimensionOverflowError(DataFormatError):
 
 
 class NumericalError(Exception):
-    """An iterative numerical procedure failed."""
-
-
-class ConvergenceError(NumericalError):
-    """Solver hit its iteration cap; carries the residual it reached."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical procedure failed."""
 
 
 class ScalingError(NumericalError):

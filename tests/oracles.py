@@ -8,9 +8,15 @@ reads its speedup and path agreement.
 Lloyd's loop as they were before assignment moved to a GEMM first pass: the
 direct form sum_j (x_j - c_j)^2 over a chunk x c x d difference tensor. The
 GEMM path must reproduce them bit for bit.
+
+``gmp_primal`` solves GMP in embedding space for small D, and
+``maxpool_oracle`` is the count-invariant sum of the distinct codewords in a
+set. ``generate_synthetic`` builds the deterministic bursty datasets of the
+retrieval-direction criterion.
 """
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +29,8 @@ from mkagg.democratic import (
 from mkagg.embed import EmbeddingConfig, _kmeanspp_init, embed_set
 from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg.kernel import gram
-from mkagg.types import Codebook, DescriptorSet, EmbeddedSet
+from mkagg.retrieval import GroundTruth
+from mkagg.types import AggregateVector, Codebook, DescriptorSet, EmbeddedSet
 
 _ASSIGN_CHUNK = 4096
 
@@ -151,3 +158,137 @@ def bench_rows(sizes: list[int], clusters: list[int], d: int = 16, seed: int = 0
                 )
             )
     return rows
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Parameters of the generated bursty toy datasets."""
+
+    n_images: int
+    burst_size: int
+    n_distinct: int
+    d: int
+    noise_sigma: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_images", "burst_size", "n_distinct", "d"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be >= 0")
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0 else v
+
+
+def _separated_unit(rng: np.random.Generator, existing: list[np.ndarray], d: int) -> np.ndarray:
+    # Rejection-sample a direction away from the ones drawn so far; fall back
+    # to the least-aligned candidate when the space is too small to separate.
+    best, best_score = None, np.inf
+    for _ in range(64):
+        cand = _unit(rng.normal(size=d))
+        score = max((abs(cand @ e) for e in existing), default=0.0)
+        if score < 0.8:
+            return cand
+        if score < best_score:
+            best, best_score = cand, score
+    return best
+
+
+def generate_synthetic(
+    spec: SyntheticSpec,
+) -> tuple[list[tuple[str, DescriptorSet]], GroundTruth]:
+    """Build a deterministic bursty dataset.
+
+    Every image holds ``burst_size`` near-duplicates of one globally shared
+    bursty direction plus ``n_distinct`` distinctive descriptors. Images are
+    grouped in pairs (the last group absorbs a leftover image); a group shares
+    its distinctive directions, which defines mutual relevance.
+    """
+    rng = np.random.default_rng(spec.seed)
+    ids = [f"img{i:04d}" for i in range(spec.n_images)]
+
+    groups: list[list[int]] = []
+    i = 0
+    while i < spec.n_images:
+        if spec.n_images - i == 3:
+            groups.append([i, i + 1, i + 2])
+            i += 3
+        else:
+            groups.append(list(range(i, min(i + 2, spec.n_images))))
+            i += 2
+
+    modes: list[np.ndarray] = []
+    burst_mode = _separated_unit(rng, modes, spec.d)
+    modes.append(burst_mode)
+    group_modes = []
+    for _ in groups:
+        rows = []
+        for _ in range(spec.n_distinct):
+            m = _separated_unit(rng, modes, spec.d)
+            modes.append(m)
+            rows.append(m)
+        group_modes.append(np.stack(rows))
+
+    images: list[tuple[str, DescriptorSet]] = []
+    relevant: dict[str, frozenset[str]] = {}
+    for g, members in enumerate(groups):
+        for idx in members:
+            burst = burst_mode + spec.noise_sigma * rng.normal(size=(spec.burst_size, spec.d))
+            distinct = group_modes[g] + spec.noise_sigma * rng.normal(
+                size=(spec.n_distinct, spec.d)
+            )
+            images.append((ids[idx], DescriptorSet(np.vstack([burst, distinct]))))
+            relevant[ids[idx]] = frozenset(ids[m] for m in members if m != idx)
+
+    images.sort(key=lambda pair: pair[0])
+    return images, GroundTruth(relevant=relevant)
+
+
+def gmp_primal(embedded: EmbeddedSet, cfg: GmpConfig = GmpConfig(), dim_cap: int = 1024) -> AggregateVector:
+    """Direct solve in embedding space: (Phi Phi^T + lambda I) xi = Phi 1.
+
+    Only sensible when D is small; guarded by ``dim_cap``. Agrees with the
+    weight-space path up to solver tolerance and serves as its cross-check.
+    """
+    if embedded.n == 0:
+        raise ValueError("cannot aggregate an empty set")
+    if embedded.dim > dim_cap:
+        raise ValueError(f"embedding dimension {embedded.dim} exceeds the dense-solve cap {dim_cap}")
+    phi = embedded.phi
+    rhs = phi.sum(axis=1)
+    if cfg.lam > 0.0:
+        mat = phi @ phi.T + cfg.lam * np.eye(embedded.dim)
+        xi = np.linalg.solve(mat, rhs)
+    else:
+        # Minimum-norm least-squares solution of Phi^T xi = 1.
+        xi = np.linalg.lstsq(phi.T, np.ones(embedded.n), rcond=None)[0]
+    return AggregateVector(xi=xi, state=("raw",))
+
+
+def maxpool_oracle(embedded: EmbeddedSet, codebook_embeddings: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Sum of the distinct codewords present in the set.
+
+    Requires every column of the embedding to match (within ``tol``) a column
+    of the orthonormal codeword matrix. For such inputs the unregularized
+    pooled vector depends only on which codewords occur, not how often, which
+    makes this the reference for the count-invariance checks.
+    """
+    q = np.asarray(codebook_embeddings, dtype=np.float64)
+    if q.ndim != 2 or q.shape[0] != embedded.dim:
+        raise ValueError("codeword matrix must be D x c")
+    gramq = q.T @ q
+    if np.max(np.abs(gramq - np.eye(q.shape[1]))) > 1e-6:
+        raise ValueError("codeword matrix must have orthonormal columns")
+
+    present: set[int] = set()
+    for i in range(embedded.n):
+        dist = np.linalg.norm(q - embedded.phi[:, i : i + 1], axis=0)
+        k = int(np.argmin(dist))
+        if dist[k] > tol:
+            raise ValueError(f"column {i} matches no codeword (distance {dist[k]:.3e})")
+        present.add(k)
+    return q[:, sorted(present)].sum(axis=1)

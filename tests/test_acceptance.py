@@ -15,13 +15,11 @@ from mkagg.democratic import (
     sinkhorn_weights,
 )
 from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
-from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights, maxpool_oracle
+from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg.kernel import clip_negatives, gram
 from mkagg.normalize import NormalizeConfig, apply_chain, power_law, rn_fit
 from mkagg.retrieval import (
-    SyntheticSpec,
     average_precision,
-    generate_synthetic,
     mean_average_precision,
     rank,
 )
@@ -32,7 +30,7 @@ from mkagg.types import (
     KernelMatrix,
     WeightVector,
 )
-from oracles import bench_rows
+from oracles import SyntheticSpec, bench_rows, generate_synthetic, maxpool_oracle
 
 # Seeds for the directional retrieval claim; the claim is asserted on exactly
 # these instances, not universally.

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mkagg import matio
+from mkagg import cli, matio
 from mkagg.cli import main
 from mkagg.democratic import DemocraticConfig, aggregate_democratic, sinkhorn_weights
 from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
@@ -89,6 +89,25 @@ class TestAggregate:
                      "--output", str(out)]) == 0
         np.testing.assert_allclose(matio.load_vector(out), [0.8, 0.5], atol=1e-6)
 
+    def test_gmp_tiny_lambda_counts_each_word_once(self, toy_files, tmp_path):
+        mkds, mkcb = toy_files
+        out = tmp_path / "v.mkvc"
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--embedding", "bow", "--method", "gmp", "--lambda", "1e-17",
+                     "--output", str(out)]) == 0
+        np.testing.assert_allclose(matio.load_vector(out), [1.0, 1.0], atol=1e-6)
+
+    def test_gmp_builds_no_kernel_unless_dumped(self, toy_files, tmp_path, monkeypatch):
+        def no_gram(_embedded):
+            raise AssertionError("gmp built a kernel")
+
+        monkeypatch.setattr(cli, "gram", no_gram)
+        mkds, mkcb = toy_files
+        out = tmp_path / "v.mkvc"
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--embedding", "bow", "--method", "gmp", "--output", str(out)]) == 0
+        np.testing.assert_allclose(matio.load_vector(out), [0.8, 0.5], atol=1e-6)
+
     def test_dump_weights(self, toy_files, tmp_path):
         mkds, mkcb = toy_files
         out = tmp_path / "v.mkvc"
@@ -110,6 +129,35 @@ class TestAggregate:
                      "--output", str(tmp_path / "v.mkvc")])
         assert code == 3
         assert "magic" in capsys.readouterr().err
+
+
+class TestNonFinitePayload:
+    """A NaN in a well-formed file is a precondition error (exit 2), not a format error (3)."""
+
+    @staticmethod
+    def _write_raw(path, magic, values):
+        values = np.asarray(values, dtype="<f4")
+        path.write_bytes(struct.pack("<4sIQQ", magic, 1, *values.shape) + values.tobytes())
+        return path
+
+    def test_descriptors_exit_2(self, toy_files, tmp_path, capsys):
+        _, mkcb = toy_files
+        mkds = self._write_raw(tmp_path / "nan.mkds", b"MKDS", [[0.0], [np.nan]])
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--output", str(tmp_path / "v.mkvc")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_codebook_exit_2(self, toy_files, tmp_path, capsys):
+        mkds, _ = toy_files
+        mkcb = self._write_raw(tmp_path / "nan.mkcb", b"MKCB", [[0.0], [np.nan]])
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--output", str(tmp_path / "v.mkvc")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_vector_exit_2(self, tmp_path, capsys):
+        mkvc = self._write_raw(tmp_path / "nan.mkvc", b"MKVC", [[1.0, np.nan]])
+        assert main(["normalize", "--input", str(mkvc), "--output", str(tmp_path / "n.mkvc")]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestNormalize:

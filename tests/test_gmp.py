@@ -1,20 +1,23 @@
-"""Generalized max pooling: solver, primal/dual consistency, max-pool limit."""
+"""Generalized max pooling: solver, set and kernel paths, primal/dual
+consistency, max-pool limit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkagg.democratic import aggregate_sum
 from mkagg.embed import EmbeddingConfig, embed_set
-from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_primal, gmp_weights, maxpool_oracle
+from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg.kernel import gram
 from mkagg.types import (
     Codebook,
-    ConvergenceError,
     DescriptorSet,
     EmbeddedSet,
     KernelMatrix,
     WeightVector,
 )
+from oracles import gmp_primal, maxpool_oracle
 
 
 def _bow_toy():
@@ -93,21 +96,72 @@ class TestGmpWeights:
         w2 = gmp_weights(gram(EmbeddedSet(phi=rot @ phi)), GmpConfig(lam=1.0))
         assert np.max(np.abs(w1.alpha - w2.alpha)) <= 1e-9
 
-    def test_nonconvergence_reports_residual(self):
-        rng = np.random.default_rng(23)
-        base = rng.normal(size=(40, 40))
-        kern = KernelMatrix.from_dense(base @ base.T)
-        with pytest.raises(ConvergenceError, match="residual") as excinfo:
-            gmp_weights(kern, GmpConfig(lam=1e-9, cg_max_iter=2))
-        assert excinfo.value.residual is not None and excinfo.value.residual > 0.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GmpConfig(lam=-1.0)
-        with pytest.raises(ValueError):
-            GmpConfig(cg_tol=0.0)
-        with pytest.raises(ValueError):
-            GmpConfig(cg_max_iter=0)
+
+
+class TestTinyLambda:
+    @pytest.mark.parametrize("lam", [1e-17, 1e-300, 0.0])
+    def test_all_ones_block_gives_one_third(self, lam):
+        """K + lambda I rounds to the singular all-ones matrix: minimum-norm weights."""
+        w = gmp_weights(KernelMatrix.from_dense(np.ones((3, 3))), GmpConfig(lam=lam))
+        np.testing.assert_allclose(w.alpha, np.full(3, 1.0 / 3.0), rtol=1e-12)
+
+    def test_singular_solve_error_is_a_value_error(self):
+        """Were a singular solve's error to escape, the CLI would still exit 2."""
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+    @pytest.mark.parametrize("lam", [1e-17, 1e-8, 1.0])
+    def test_bow_set_path_counts_each_word_once(self, lam):
+        """The primal's 1 - R xi cancels at tiny lambda; the set path must not lose the weights."""
+        w = gmp_weights(_bow_toy(), GmpConfig(lam=lam))
+        want = [1 / (4 + lam)] * 4 + [1 / (1 + lam)]
+        np.testing.assert_allclose(w.alpha, want, rtol=1e-7)
+
+
+@st.composite
+def _gmp_sets(draw):
+    """Bow, residual-like or one-block dense sets whose blocks hold fewer, as
+    many or more descriptors than their width, some rows zero."""
+    kind = draw(st.sampled_from(["bow", "residual", "dense"]))
+    w = 1 if kind == "bow" else draw(st.integers(1, 8))
+    c = 1 if kind == "dense" else draw(st.integers(1, 4))
+    sizes = [max(0, w + draw(st.integers(-w, w + 3))) for _ in range(c)]
+    if sum(sizes) == 0:
+        sizes[0] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assignment = rng.permutation(np.repeat(np.arange(c), sizes))
+    n = assignment.size
+    if kind == "bow":
+        rows = np.ones((n, 1))
+    elif kind == "residual":
+        rows = rng.normal(size=(n, w))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    else:
+        rows = rng.uniform(-1.0, 1.0, size=(n, w))
+    rows[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    phi = np.zeros((c, w, n))
+    phi[assignment, :, np.arange(n)] = rows
+    layout = tuple((k * w, (k + 1) * w) for k in range(c))
+    return EmbeddedSet(phi=phi.reshape(c * w, n), assignment=assignment, block_layout=layout)
+
+
+class TestSetPath:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_gmp_sets(), st.sampled_from([0.0, 1e-8, 1e-3, 1.0, 1e6]))
+    def test_matches_kernel_path(self, emb, lam):
+        """Solving each block from its rows pools to the kernel path's aggregate."""
+        cfg = GmpConfig(lam=lam)
+        from_rows = aggregate_gmp(emb, gmp_weights(emb, cfg)).xi
+        from_kernel = aggregate_gmp(emb, gmp_weights(gram(emb), cfg)).xi
+        tol = 1e-9 if lam >= 1e-3 else 1e-6
+        assert np.max(np.abs(from_rows - from_kernel)) <= tol * max(1.0, np.max(np.abs(from_kernel)))
+
+    def test_empty_set_rejected(self):
+        emb = EmbeddedSet(phi=np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="empty"):
+            gmp_weights(emb, GmpConfig())
 
 
 class TestAggregateGmp:

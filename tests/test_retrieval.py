@@ -8,10 +8,8 @@ from mkagg.embed import EmbeddingConfig, embed_set
 from mkagg.kernel import gram
 from mkagg.retrieval import (
     GroundTruth,
-    SyntheticSpec,
     average_precision,
     export_weights,
-    generate_synthetic,
     mean_average_precision,
     rank,
     read_ground_truth,
@@ -19,6 +17,7 @@ from mkagg.retrieval import (
     write_ground_truth,
 )
 from mkagg.types import AggregateVector, Codebook, DescriptorSet, KernelMatrix, WeightVector
+from oracles import SyntheticSpec, generate_synthetic
 
 
 def _unit_vec(values):
