@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or precondition error, 3 data-format error,
 4 numerical failure (Sinkhorn scaling failure, zero-vector normalization).
-A NaN or infinity in the payload of a descriptor, codebook or vector file
-exits 2: the file is well-formed, but its values fail a precondition.
+A NaN or infinity in the payload of a descriptor, codebook, vector or
+rotation file exits 2: the file is well-formed, but its values fail a
+precondition.
 The argument parser is built once per process and reused by every ``main``
 call. ``--threads`` is accepted for compatibility and ignored: every stage
 runs in the calling thread, with BLAS doing its own threading.
@@ -81,12 +82,12 @@ def cmd_aggregate(args) -> int:
 
 def cmd_normalize(args) -> int:
     vec = matio.load_vector(args.input)
-    rotation = None
-    if args.rn:
-        rotation, _ = matio.read_matrix_file(args.rn, matio.MAGIC_ROTATION)
-        rotation = rotation.astype(np.float64)
+    # The rotation is passed as read (float32): the config keys its check on
+    # those bytes and keeps only its float64 copy.
     cfg = NormalizeConfig(
-        alpha_exponent=args.alpha, rotation=rotation, truncate_to=args.truncate
+        alpha_exponent=args.alpha,
+        rotation=matio.read_matrix_file(args.rn, matio.MAGIC_ROTATION)[0] if args.rn else None,
+        truncate_to=args.truncate,
     )
     out = apply_chain(AggregateVector(vec, ("raw",)), cfg)
     matio.save_vector(args.output, out.xi)

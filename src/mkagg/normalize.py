@@ -4,10 +4,16 @@ The chain is: optional rotation, signed power law, optional truncation to the
 leading components, then l2 normalization. Comparing two vectors that went
 through the chain with a dot product realizes the normalized kernel (unit
 self-similarity).
+
+A rotation's orthonormality is checked once per content within a process:
+``NormalizeConfig`` remembers the SHA-256 digest of each rotation that passed
+(at most ``_VALIDATED_CAP`` digests, no matrices) and skips the check for a
+rotation with the same bytes. A rejection is never remembered.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +24,29 @@ from .types import AggregateVector, ZeroVectorError
 _ORTHO_TOL = 1e-6
 # Bytes of R^T R that the orthonormality check holds at once.
 _ORTHO_PANEL_BYTES = 2**19
+# SHA-256 digests of the bytes of rotations that passed the check; a full set
+# is cleared. Only non-empty square float32 or float64 matrices are hashed, and
+# their byte length (4 n^2 or 8 m^2, never equal) fixes the dtype and shape.
+_VALIDATED: set[bytes] = set()
+_VALIDATED_CAP = 64
+
+
+def _check_orthonormal(rot: np.ndarray) -> None:
+    """Raise unless max |R^T R - I| <= _ORTHO_TOL; a NaN anywhere fails it."""
+    # One panel of rows at a time, in place, so the check holds no D x D
+    # temporary. A non-finite entry, or an overflow in the product, leaves
+    # an inf or NaN in the panel and fails the comparison; the finiteness
+    # test only picks the message.
+    dim = rot.shape[1]
+    step = max(1, _ORTHO_PANEL_BYTES // (8 * dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, dim, step):
+            panel = rot[:, start : start + step].T @ rot
+            panel[:, start : start + step][np.diag_indices(panel.shape[0])] -= 1.0
+            if not np.max(np.abs(panel, out=panel)) <= _ORTHO_TOL:
+                if not np.all(np.isfinite(rot)):
+                    raise ValueError("rotation matrix must contain only finite values")
+                raise ValueError("rotation matrix is not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -30,18 +59,22 @@ class NormalizeConfig:
         if not 0.0 <= self.alpha_exponent <= 1.0:
             raise ValueError("power-law exponent must lie in [0, 1]")
         if self.rotation is not None:
-            rot = np.ascontiguousarray(self.rotation, dtype=np.float64)
-            if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
-                raise ValueError("rotation must be a square matrix")
-            # max |R^T R - I| one panel of rows at a time, in place, so a check
-            # (one per per-file normalize call) holds no D x D temporary.
-            dim = rot.shape[1]
-            step = max(1, _ORTHO_PANEL_BYTES // (8 * dim))
-            for start in range(0, dim, step):
-                panel = rot[:, start : start + step].T @ rot
-                panel[:, start : start + step][np.diag_indices(panel.shape[0])] -= 1.0
-                if np.max(np.abs(panel, out=panel)) > _ORTHO_TOL:
-                    raise ValueError("rotation matrix is not orthonormal")
+            src = np.asarray(self.rotation)
+            # float32 and float64 bytes determine the float64 matrix exactly;
+            # anything else (an object array's bytes are pointers) is keyed
+            # after the cast.
+            if src.dtype not in (np.float32, np.float64):
+                src = src.astype(np.float64)
+            src = np.ascontiguousarray(src)
+            rot = np.ascontiguousarray(src, dtype=np.float64)
+            if rot.ndim != 2 or rot.shape[0] != rot.shape[1] or rot.shape[0] == 0:
+                raise ValueError("rotation must be a non-empty square matrix")
+            key = hashlib.sha256(src).digest()
+            if key not in _VALIDATED:
+                _check_orthonormal(rot)
+                if len(_VALIDATED) >= _VALIDATED_CAP:
+                    _VALIDATED.clear()
+                _VALIDATED.add(key)
             object.__setattr__(self, "rotation", rot)
         if self.truncate_to is not None and self.truncate_to < 1:
             raise ValueError("truncation size must be >= 1")

@@ -9,6 +9,11 @@ Lloyd's loop as they were before assignment moved to a GEMM first pass: the
 direct form sum_j (x_j - c_j)^2 over a chunk x c x d difference tensor. The
 GEMM path must reproduce them bit for bit.
 
+``orthonormal_direct`` is ``NormalizeConfig``'s orthonormality check as it
+was before the check was remembered per rotation content, kept verbatim:
+it raises ``ValueError`` when some |R^T R - I| entry exceeds the tolerance
+and, unlike the program's check, accepts a matrix whose panel maximum is NaN.
+
 ``gmp_primal`` solves GMP in embedding space for small D, and
 ``maxpool_oracle`` is the count-invariant sum of the distinct codewords in a
 set. ``generate_synthetic`` builds the deterministic bursty datasets of the
@@ -29,6 +34,7 @@ from mkagg.democratic import (
 from mkagg.embed import EmbeddingConfig, _kmeanspp_init, embed_set
 from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg.kernel import gram
+from mkagg.normalize import _ORTHO_PANEL_BYTES, _ORTHO_TOL
 from mkagg.retrieval import GroundTruth
 from mkagg.types import AggregateVector, Codebook, DescriptorSet, EmbeddedSet
 
@@ -50,6 +56,21 @@ def assign_direct(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         d2 = _squared_distances(points[start:stop], centroids)
         out[start:stop] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
     return out
+
+
+def orthonormal_direct(rotation: np.ndarray) -> None:
+    rot = np.ascontiguousarray(rotation, dtype=np.float64)
+    if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
+        raise ValueError("rotation must be a square matrix")
+    # max |R^T R - I| one panel of rows at a time, in place, so a check
+    # (one per per-file normalize call) holds no D x D temporary.
+    dim = rot.shape[1]
+    step = max(1, _ORTHO_PANEL_BYTES // (8 * dim))
+    for start in range(0, dim, step):
+        panel = rot[:, start : start + step].T @ rot
+        panel[:, start : start + step][np.diag_indices(panel.shape[0])] -= 1.0
+        if np.max(np.abs(panel, out=panel)) > _ORTHO_TOL:
+            raise ValueError("rotation matrix is not orthonormal")
 
 
 def lloyd_direct(training: DescriptorSet, c: int, seed: int, max_iters: int = 100) -> np.ndarray:

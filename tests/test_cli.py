@@ -159,6 +159,17 @@ class TestNonFinitePayload:
         assert main(["normalize", "--input", str(mkvc), "--output", str(tmp_path / "n.mkvc")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_rotation_exit_2(self, tmp_path, capsys):
+        mkvc = tmp_path / "v.mkvc"
+        matio.save_vector(mkvc, np.array([1.0, 2.0], dtype=np.float32))
+        mkrt = self._write_raw(tmp_path / "nan.mkrt", b"MKRT", [[1.0, 0.0], [0.0, np.nan]])
+        for _ in range(2):
+            assert main(["normalize", "--input", str(mkvc), "--rn", str(mkrt),
+                         "--output", str(tmp_path / "n.mkvc")]) == 2
+            err = capsys.readouterr().err
+            assert "rotation" in err and "finite" in err
+        assert not (tmp_path / "n.mkvc").exists()
+
 
 class TestNormalize:
     def _write_vec(self, tmp_path, values):
@@ -206,6 +217,28 @@ class TestNormalize:
         cfg = NormalizeConfig(alpha_exponent=0.5, rotation=rot32.astype(np.float64), truncate_to=4)
         oracle = apply_chain(AggregateVector(matio.load_vector(src)), cfg)
         np.testing.assert_allclose(matio.load_vector(out), oracle.xi, atol=1e-6)
+
+    def test_empty_rotation_exit_2(self, tmp_path, capsys):
+        src = self._write_vec(tmp_path, [3.0, 4.0])
+        rot_path = tmp_path / "empty.mkrt"
+        rot_path.write_bytes(struct.pack("<4sIQQ", b"MKRT", 1, 0, 0))
+        assert main(["normalize", "--input", str(src), "--rn", str(rot_path),
+                     "--output", str(tmp_path / "n.mkvc")]) == 2
+        assert "rotation" in capsys.readouterr().err
+
+    def test_rewritten_rotation_is_checked_again(self, tmp_path, capsys):
+        """The same path with new bytes in one process: the new content is checked."""
+        src = self._write_vec(tmp_path, [3.0, 4.0])
+        rot_path = tmp_path / "rot.mkrt"
+        argv = ["normalize", "--input", str(src), "--alpha", "1", "--rn", str(rot_path),
+                "--output", str(tmp_path / "n.mkvc")]
+        matio.write_matrix_file(rot_path, matio.MAGIC_ROTATION, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert main(argv) == 0
+        np.testing.assert_allclose(matio.load_vector(tmp_path / "n.mkvc"), [0.8, 0.6], atol=1e-6)
+        matio.write_matrix_file(rot_path, matio.MAGIC_ROTATION, np.array([[0.0, 1.0], [1.0, 1.0]]))
+        for _ in range(2):
+            assert main(argv) == 2
+            assert "orthonormal" in capsys.readouterr().err
 
     def test_zero_vector_exit_4(self, tmp_path, capsys):
         src = self._write_vec(tmp_path, [0.0, 0.0])

@@ -1,7 +1,12 @@
 """Normalization chain: power law, rotation fitting, truncation, similarity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import orthonormal_direct
 
 from mkagg import normalize
 from mkagg.democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
@@ -177,6 +182,160 @@ class TestOrthonormalityCheck:
             bad[:, j] *= 1.0 + 1e-4
             with pytest.raises(ValueError, match="orthonormal"):
                 NormalizeConfig(rotation=bad)
+
+
+def _orthonormal(dim, seed):
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+
+
+# Orthonormal bases for the memo's property test, built once.
+_BASES = [_orthonormal(8, seed) for seed in range(3)]
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """An empty memo, and the shape of every rotation the panel check runs on."""
+    monkeypatch.setattr(normalize, "_VALIDATED", set())
+    calls = []
+    check = normalize._check_orthonormal
+
+    def counting(rot):
+        calls.append(rot.shape)
+        check(rot)
+
+    monkeypatch.setattr(normalize, "_check_orthonormal", counting)
+    return calls
+
+
+class _Box:
+    """A mutable number: an object array of these keeps its pointers when a value changes."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+class TestRotationMemo:
+    """Within a process, each distinct rotation content is checked once."""
+
+    def test_equal_bytes_checked_once(self, check_calls):
+        q = _orthonormal(8, 0)
+        first = NormalizeConfig(rotation=q)
+        second = NormalizeConfig(rotation=q.copy())
+        assert len(check_calls) == 1
+        np.testing.assert_array_equal(first.rotation, second.rotation)
+
+    def test_one_ulp_is_checked_again(self, check_calls):
+        q = _orthonormal(8, 1)
+        NormalizeConfig(rotation=q)
+        near = q.copy()
+        near[2, 3] = np.nextafter(near[2, 3], np.inf)
+        NormalizeConfig(rotation=near)
+        assert len(check_calls) == 2
+        far = q.copy()
+        far[2, 3] += 1e-4  # moves row 2's dot products by up to 1e-4 * max|q[2, k]|, well past 1e-6
+        with pytest.raises(ValueError, match="orthonormal"):
+            NormalizeConfig(rotation=far)
+        assert len(check_calls) == 3
+
+    def test_rejection_is_never_remembered(self, check_calls):
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="orthonormal"):
+                NormalizeConfig(rotation=bad)
+        assert len(check_calls) == 3
+        assert not normalize._VALIDATED
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (1, 2)])
+    def test_non_finite_rejected(self, check_calls, value, where):
+        """A NaN maximum once passed, because NaN > tol is False."""
+        rot = np.eye(4)
+        rot[where] = value
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                NormalizeConfig(rotation=rot)
+            with pytest.raises(ValueError, match="finite"):
+                NormalizeConfig(rotation=rot.astype(np.float32))
+        assert not normalize._VALIDATED
+
+    def test_overflowing_product_rejected(self, check_calls):
+        """Finite but huge entries overflow R^T R; the check still rejects them."""
+        rot = np.array([[1e200, -1e200], [1e200, 1e200]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            NormalizeConfig(rotation=rot)
+        assert not normalize._VALIDATED
+
+    def test_float32_and_float64_each_checked(self, check_calls):
+        q32 = _orthonormal(8, 2).astype(np.float32)
+        from32 = NormalizeConfig(rotation=q32)
+        from64 = NormalizeConfig(rotation=q32.astype(np.float64))
+        NormalizeConfig(rotation=q32.copy())
+        assert len(check_calls) == 2
+        assert from32.rotation.dtype == np.float64
+        np.testing.assert_array_equal(from32.rotation, from64.rotation)
+
+    def test_object_array_checked_on_values(self, check_calls):
+        boxes = np.array([[_Box(1.0), _Box(0.0)], [_Box(0.0), _Box(1.0)]], dtype=object)
+        assert NormalizeConfig(rotation=boxes).rotation.dtype == np.float64
+        boxes[0, 0].value = 2.0  # same pointers, different values
+        with pytest.raises(ValueError, match="orthonormal"):
+            NormalizeConfig(rotation=boxes)
+        # Keyed on its float64 values, which equal the identity's.
+        boxes[0, 0].value = 1.0
+        NormalizeConfig(rotation=boxes)
+        NormalizeConfig(rotation=np.eye(2))
+        assert len(check_calls) == 2
+
+    def test_never_grows_past_cap(self, check_calls, monkeypatch):
+        monkeypatch.setattr(normalize, "_VALIDATED_CAP", 3)
+        for seed in range(10):
+            NormalizeConfig(rotation=_orthonormal(4, seed))
+            assert 1 <= len(normalize._VALIDATED) <= 3
+        assert len(check_calls) == 10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["orthonormal", "float32", "inside", "outside", "repeat"]),
+                st.integers(0, len(_BASES) - 1),
+                st.integers(0, 7),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_decisions_match_unmemoized_check(self, steps):
+        """Over any sequence of candidates, the memo accepts exactly what the plain check accepts."""
+        seen = []
+        with mock.patch.object(normalize, "_VALIDATED", set()), \
+                mock.patch.object(normalize, "_VALIDATED_CAP", 4):
+            for kind, base, col in steps:
+                if kind == "repeat" and seen:
+                    rot = seen[(base + col) % len(seen)]
+                else:
+                    rot = _BASES[base].copy()
+                    if kind == "float32":
+                        rot = rot.astype(np.float32)
+                    elif kind in ("inside", "outside"):
+                        # Entry (col, col) of R^T R moves by about 2 * eps.
+                        rot[:, col] *= 1.0 + (0.49e-6 if kind == "inside" else 0.51e-6)
+                    seen.append(rot)
+                try:
+                    orthonormal_direct(rot)
+                    want = True
+                except ValueError:
+                    want = False
+                try:
+                    NormalizeConfig(rotation=rot)
+                    got = True
+                except ValueError:
+                    got = False
+                assert got == want, kind
+                assert len(normalize._VALIDATED) <= 4
 
 
 class TestSimilarity:
