@@ -100,7 +100,12 @@ def cmd_rn_fit(args) -> int:
     vectors = [AggregateVector(matio.load_vector(path), ("raw",)) for _, path in entries]
     rotation = rn_fit(vectors, max_eigvecs=args.max_eigvecs)
     matio.write_matrix_file(args.output, matio.MAGIC_ROTATION, rotation)
-    print(f"wrote {rotation.shape[0]}x{rotation.shape[1]} rotation to {args.output}")
+    # n centered vectors span at most n - 1 dimensions.
+    principal = min(len(vectors) - 1, rotation.shape[0])
+    print(
+        f"wrote {rotation.shape[0]}x{rotation.shape[1]} rotation to {args.output} "
+        f"(at most {principal} principal rows from {len(vectors)} training vectors)"
+    )
     return 0
 
 

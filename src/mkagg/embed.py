@@ -34,9 +34,6 @@ class EmbeddingConfig:
         if self.kind not in EMBEDDING_KINDS:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
 
-    def output_dim(self, codebook: Codebook) -> int:
-        return codebook.c if self.kind == "bow" else codebook.c * codebook.d
-
 
 def _direct_argmin(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # The direct form sum_j (x_j - c_j)^2 over every centroid, in chunks of

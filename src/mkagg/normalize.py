@@ -103,11 +103,12 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 def rn_fit(training_vectors: Sequence[AggregateVector], max_eigvecs: int) -> np.ndarray:
     """Learn a D x D rotation whose leading rows are principal directions.
 
-    The first min(max_eigvecs, D) rows are the principal directions of the
-    centered training vectors in descending variance order; the rest is a
-    deterministic orthonormal completion built by Gram-Schmidt over the
-    canonical basis. Each principal row's sign is fixed by making its
-    largest-magnitude component positive.
+    The rows are the right-singular vectors of the centered training vectors,
+    in descending variance order. Each of the first min(max_eigvecs, D) rows
+    has its sign fixed by making its largest-magnitude component positive.
+    At most min(n - 1, D) rows are principal for n training vectors; the rows
+    past the data's rank are the remaining right-singular vectors, an
+    orthonormal basis of the complement as LAPACK returns it.
     """
     if max_eigvecs < 1:
         raise ValueError("max_eigvecs must be >= 1")
@@ -120,30 +121,13 @@ def rn_fit(training_vectors: Sequence[AggregateVector], max_eigvecs: int) -> np.
 
     data = np.stack([v.xi for v in training_vectors])
     data = data - data.mean(axis=0)
-    # SVD of the centered data; right singular vectors come out in
-    # descending-variance order already.
-    _, _, vt = np.linalg.svd(data, full_matrices=False)
-    lead = vt[: min(max_eigvecs, vt.shape[0])].copy()
-    for row in lead:
+    # With n < D only the full V is square; with n >= D the thin V already
+    # is, and a full U would take n x n memory.
+    _, _, vt = np.linalg.svd(data, full_matrices=data.shape[0] < dim)
+    for row in vt[:max_eigvecs]:
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
-
-    rows = [row for row in lead]
-    for j in range(dim):
-        if len(rows) == dim:
-            break
-        v = np.zeros(dim)
-        v[j] = 1.0
-        basis = np.stack(rows)
-        # Two projection passes keep the completion orthonormal to ~1e-12.
-        for _ in range(2):
-            v = v - basis.T @ (basis @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            rows.append(v / norm)
-    if len(rows) != dim:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.stack(rows)
+    return vt
 
 
 def apply_chain(v: AggregateVector, cfg: NormalizeConfig) -> AggregateVector:

@@ -14,6 +14,11 @@ was before the check was remembered per rotation content, kept verbatim:
 it raises ``ValueError`` when some |R^T R - I| entry exceeds the tolerance
 and, unlike the program's check, accepts a matrix whose panel maximum is NaN.
 
+``rn_fit_gram_schmidt`` is ``rn_fit`` as it was before the rotation came
+from one SVD, kept verbatim: the leading rows from a thin SVD, the rest
+completed by Gram-Schmidt over the canonical basis. Its principal rows are
+the reference for the program's.
+
 ``gmp_primal`` solves GMP in embedding space for small D, and
 ``maxpool_oracle`` is the count-invariant sum of the distinct codewords in a
 set. ``generate_synthetic`` builds the deterministic bursty datasets of the
@@ -22,6 +27,7 @@ retrieval-direction criterion.
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +77,52 @@ def orthonormal_direct(rotation: np.ndarray) -> None:
         panel[:, start : start + step][np.diag_indices(panel.shape[0])] -= 1.0
         if np.max(np.abs(panel, out=panel)) > _ORTHO_TOL:
             raise ValueError("rotation matrix is not orthonormal")
+
+
+def rn_fit_gram_schmidt(training_vectors: Sequence[AggregateVector], max_eigvecs: int) -> np.ndarray:
+    """Learn a D x D rotation whose leading rows are principal directions.
+
+    The first min(max_eigvecs, D) rows are the principal directions of the
+    centered training vectors in descending variance order; the rest is a
+    deterministic orthonormal completion built by Gram-Schmidt over the
+    canonical basis. Each principal row's sign is fixed by making its
+    largest-magnitude component positive.
+    """
+    if max_eigvecs < 1:
+        raise ValueError("max_eigvecs must be >= 1")
+    if len(training_vectors) < 2:
+        raise ValueError("need at least 2 training vectors")
+    dim = training_vectors[0].dim
+    for v in training_vectors:
+        if v.dim != dim:
+            raise ValueError("training vectors must share a single dimensionality")
+
+    data = np.stack([v.xi for v in training_vectors])
+    data = data - data.mean(axis=0)
+    # SVD of the centered data; right singular vectors come out in
+    # descending-variance order already.
+    _, _, vt = np.linalg.svd(data, full_matrices=False)
+    lead = vt[: min(max_eigvecs, vt.shape[0])].copy()
+    for row in lead:
+        if row[np.argmax(np.abs(row))] < 0.0:
+            row *= -1.0
+
+    rows = [row for row in lead]
+    for j in range(dim):
+        if len(rows) == dim:
+            break
+        v = np.zeros(dim)
+        v[j] = 1.0
+        basis = np.stack(rows)
+        # Two projection passes keep the completion orthonormal to ~1e-12.
+        for _ in range(2):
+            v = v - basis.T @ (basis @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-10:
+            rows.append(v / norm)
+    if len(rows) != dim:
+        raise ValueError("failed to complete an orthonormal basis")
+    return np.stack(rows)
 
 
 def lloyd_direct(training: DescriptorSet, c: int, seed: int, max_iters: int = 100) -> np.ndarray:

@@ -218,6 +218,22 @@ class TestNormalize:
         oracle = apply_chain(AggregateVector(matio.load_vector(src)), cfg)
         np.testing.assert_allclose(matio.load_vector(out), oracle.xi, atol=1e-6)
 
+    def test_rn_fit_reports_principal_rows(self, tmp_path, capsys):
+        """n vectors give at most min(n - 1, D) principal rows; more eigenvectors still exit 0."""
+        rng = np.random.default_rng(64)
+        for n, expected in ((5, 4), (30, 8)):
+            manifest = tmp_path / f"vecs{n}.tsv"
+            lines = []
+            for i, row in enumerate(rng.normal(size=(n, 8)).astype(np.float32)):
+                p = tmp_path / f"v{n}_{i}.mkvc"
+                matio.save_vector(p, row)
+                lines.append(f"v{i}\t{p}")
+            manifest.write_text("\n".join(lines) + "\n")
+            assert main(["rn-fit", "--vectors", str(manifest), "--max-eigvecs", "8",
+                         "--output", str(tmp_path / "rot.mkrt")]) == 0
+            out = capsys.readouterr().out
+            assert f"(at most {expected} principal rows from {n} training vectors)" in out
+
     def test_empty_rotation_exit_2(self, tmp_path, capsys):
         src = self._write_vec(tmp_path, [3.0, 4.0])
         rot_path = tmp_path / "empty.mkrt"

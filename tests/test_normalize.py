@@ -1,12 +1,14 @@
 """Normalization chain: power law, rotation fitting, truncation, similarity."""
 
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orthonormal_direct
+from oracles import orthonormal_direct, rn_fit_gram_schmidt
 
 from mkagg import normalize
 from mkagg.democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
@@ -63,6 +65,23 @@ def _vecs(rows):
     return [AggregateVector(np.asarray(r, dtype=np.float64)) for r in rows]
 
 
+# Eigen-gap, relative to the largest eigenvalue, at or below which a principal
+# direction is not unique (the benchmark's rotation check uses the same rule).
+_LEAD_GAP = 1e-6
+
+
+def _separated_rows(data, n_lead):
+    """Indices j < n_lead whose covariance eigenvalue is apart from its neighbours'."""
+    centered = data - data.mean(axis=0)
+    evals = np.linalg.eigvalsh(centered.T @ centered)[::-1]
+    out = []
+    for j in range(min(n_lead, len(data) - 1)):
+        gaps = [evals[k] - evals[k + 1] for k in (j - 1, j) if 0 <= k < len(evals) - 1]
+        if not gaps or min(gaps) > _LEAD_GAP * evals[0]:
+            out.append(j)
+    return out
+
+
 class TestRnFit:
     def test_rank_one_axis(self):
         """Vectors along e3: first row is +e3 under the sign rule."""
@@ -107,6 +126,52 @@ class TestRnFit:
         a = rn_fit(_vecs(rows), max_eigvecs=2)
         b = rn_fit(_vecs(rows), max_eigvecs=2)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        dim=st.integers(1, 48),
+        max_eigvecs=st.integers(1, 64),
+        rank=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_principal_rows_match_gram_schmidt_oracle(self, n, dim, max_eigvecs, rank, seed):
+        """Orthonormal, signed, deterministic, and every separated principal row is the oracle's."""
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, dim))
+        rot = rn_fit(_vecs(data), max_eigvecs=max_eigvecs)
+        eye = np.eye(dim)
+        assert np.max(np.abs(rot.T @ rot - eye)) <= 1e-9
+        assert np.max(np.abs(rot @ rot.T - eye)) <= 1e-9
+        n_lead = min(max_eigvecs, dim)
+        for row in rot[:n_lead]:
+            assert row[np.argmax(np.abs(row))] > 0.0
+        assert rot.tobytes() == rn_fit(_vecs(data), max_eigvecs=max_eigvecs).tobytes()
+        oracle = rn_fit_gram_schmidt(_vecs(data), max_eigvecs=max_eigvecs)
+        for j in _separated_rows(data, n_lead):
+            assert np.max(np.abs(rot[j] - oracle[j])) <= 1e-12, j
+
+    def test_memory_does_not_grow_with_training_set_squared(self):
+        """n = 6000 vectors at D = 4: nothing n x n is allocated."""
+        vectors = _vecs(np.random.default_rng(49).normal(size=(6000, 4)))
+        tracemalloc.start()
+        try:
+            rn_fit(vectors, max_eigvecs=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_fits_at_bursty_dimension(self):
+        """D = 2048 from 4 vectors: orthonormal, rows past the rank orthogonal to the data, fast."""
+        rows = np.random.default_rng(50).normal(size=(4, 2048))
+        start = time.perf_counter()
+        rot = rn_fit(_vecs(rows), max_eigvecs=64)
+        elapsed = time.perf_counter() - start
+        assert np.max(np.abs(rot @ rot.T - np.eye(2048))) <= 1e-9
+        centered = rows - rows.mean(axis=0)
+        assert np.max(np.abs(centered @ rot[3:].T)) <= 1e-9
+        assert elapsed < 2.0
 
     def test_too_few_vectors(self):
         with pytest.raises(ValueError, match="at least 2"):
