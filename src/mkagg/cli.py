@@ -22,7 +22,7 @@ from . import matio, retrieval
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from .embed import EmbeddingConfig, embed_set, train_codebook
 from .gmp import GmpConfig, aggregate_gmp, gmp_weights
-from .kernel import gram
+from .kernel import gram, parts
 from .normalize import NormalizeConfig, apply_chain, l2_normalize, rn_fit
 from .types import (
     AggregateVector,
@@ -54,13 +54,20 @@ def cmd_train_codebook(args) -> int:
 
 
 def _aggregate_one(embedded: EmbeddedSet, args):
-    """Returns (aggregate, weights, kernel); only democratic weighting reads the
-    kernel, so for sum and gmp it is built only to dump the weights, else None."""
-    kern = gram(embedded) if args.dump_weights or args.method == "democratic" else None
+    """Returns (aggregate, weights, kernel). The whole kernel is built only to
+    dump the weights, else it is None. Democratic weights are scaled one part
+    of the kernel at a time (``kernel.parts``): the scaling never mixes blocks,
+    so they equal the whole kernel's weights bit for bit, while only one part's
+    Gram and its clipped copy are alive."""
+    kern = gram(embedded) if args.dump_weights else None
     if args.method == "sum":
         return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform"), kern
     if args.method == "democratic":
-        weights = sinkhorn_weights(kern, DemocraticConfig(gamma=args.gamma, n_iter=args.iters))
+        cfg = DemocraticConfig(gamma=args.gamma, n_iter=args.iters)
+        alpha = np.empty(embedded.n)
+        for idx, part in parts(embedded):
+            alpha[idx] = sinkhorn_weights(gram(part), cfg).alpha
+        weights = WeightVector(alpha, "democratic")
         return aggregate_democratic(embedded, weights), weights, kern
     weights = gmp_weights(embedded, GmpConfig(lam=args.lam))
     return aggregate_gmp(embedded, weights), weights, kern
@@ -74,8 +81,7 @@ def cmd_aggregate(args) -> int:
     aggregate, weights, kern = _aggregate_one(embedded, args)
     matio.save_vector(args.output, aggregate.xi)
     if args.dump_weights:
-        with open(args.dump_weights, "w", encoding="utf-8") as fh:
-            fh.write(retrieval.export_weights(kern, weights))
+        matio.write_text_file(args.dump_weights, retrieval.export_weights(kern, weights))
     print(f"wrote {aggregate.dim}-dim {args.method} aggregate to {args.output}")
     return 0
 
@@ -175,9 +181,7 @@ def cmd_demo2d(args) -> int:
     for tag, angle in (("a", _DEMO_DISTINCT_A), ("b", _DEMO_DISTINCT_B)):
         for method, xi in _demo_aggregates(angle).items():
             lines.append(f"{method}_{tag}\t{xi[0]:.12g}\t{xi[1]:.12g}")
-    text = "\n".join(lines) + "\n"
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    matio.write_text_file(args.output, "\n".join(lines) + "\n")
     print(f"wrote 2-D pooling demo to {args.output}")
     return 0
 

@@ -9,7 +9,11 @@ fixed, small number of damped symmetric scaling steps:
 
 The kernel is block-diagonal (one block per centroid, or a single block for
 a set without block structure), so the row sums decompose per block and the
-loop is effectively an independent scaling run per block.
+loop is effectively an independent scaling run per block. Every step but the
+per-block matvec is elementwise, so scaling any kernel built from a subset
+of whole blocks gives those blocks' weights bit for bit. The command line
+uses that to scale the kernel one part at a time (``kernel.parts``), holding
+one part's Gram and its clipped copy instead of every block twice.
 """
 
 from __future__ import annotations

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .types import EmbeddedSet, KernelMatrix
+
+# Bytes of Gram blocks (n_k x n_k float64 per cell) that one part may hold,
+# the same bound as the assignment's score chunks. A fixed bound on the
+# working memory of per-part kernel consumers, not a setting.
+_PART_BUDGET = 4 * 2**20
 
 
 def gram(embedded: EmbeddedSet) -> KernelMatrix:
@@ -23,6 +30,38 @@ def gram(embedded: EmbeddedSet) -> KernelMatrix:
         sub = embedded.rows[idx]
         blocks.append((idx, sub @ sub.T))
     return KernelMatrix._trusted(embedded.n, blocks)
+
+
+def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedSet]]:
+    """Split the descriptors into parts whose Gram blocks fit ``_PART_BUDGET``.
+
+    Cells are packed greedily in cell order: a cell joins the current part
+    unless its block would take the part over the budget, so a cell larger
+    than the budget is a part of its own. Yields (ascending descriptor
+    indices, the part's embedded set). A kernel that fits whole is one part,
+    ``(slice(None), embedded)``, with no gather. A weighting that treats each
+    block on its own can then hold one part's Gram at a time.
+    """
+    cells = [idx for _, idx in embedded.cells()]
+    if sum(8 * idx.size**2 for idx in cells) <= _PART_BUDGET:
+        yield slice(None), embedded
+        return
+
+    def gather(group: list[np.ndarray]) -> tuple[np.ndarray, EmbeddedSet]:
+        idx = np.sort(np.concatenate(group))
+        rows, assignment = embedded.rows[idx], embedded.assignment[idx]
+        return idx, EmbeddedSet._trusted(rows, assignment, embedded.c, embedded.unit_columns)
+
+    group: list[np.ndarray] = []
+    used = 0
+    for idx in cells:
+        size = 8 * idx.size**2
+        if group and used + size > _PART_BUDGET:
+            yield gather(group)
+            group, used = [], 0
+        group.append(idx)
+        used += size
+    yield gather(group)
 
 
 def _map_blocks(kern: KernelMatrix, fn) -> KernelMatrix:

@@ -11,11 +11,15 @@ Layout (all integers little-endian):
 
 Payloads are float32, so a write/read round-trip is bit-exact for float32
 data. The dtype and byte order are fixed so files interoperate with
-implementations in other languages.
+implementations in other languages. A write that fails midway removes its
+file, so no partial file is left behind (a killed process can still leave
+one: writing beside the target and renaming it into place would close that
+gap, but costs a new inode and a flush per file).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -52,6 +56,25 @@ class MatrixHeader:
     cols: int
 
 
+def _write_whole(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path``; if that fails midway, remove the file, so
+    that an error mid-write leaves no partial file."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        raise
+
+
+def write_text_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8; an error mid-write leaves no file."""
+    _write_whole(path, text.encode("utf-8"))
+
+
 def write_matrix_file(path: str | Path, magic: bytes, matrix: np.ndarray) -> None:
     """Write ``matrix`` under the given 4-byte magic tag."""
     if len(magic) != 4:
@@ -62,9 +85,7 @@ def write_matrix_file(path: str | Path, magic: bytes, matrix: np.ndarray) -> Non
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix must contain only finite values")
     header = _HEADER.pack(bytes(magic), FORMAT_VERSION, mat.shape[0], mat.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(mat.tobytes())
+    _write_whole(path, header, mat.tobytes())
 
 
 def read_matrix_file(path: str | Path, expected_magic: bytes) -> tuple[np.ndarray, MatrixHeader]:

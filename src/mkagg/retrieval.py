@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .matio import write_text_file
 from .normalize import similarity
 from .types import AggregateVector, DataFormatError, KernelMatrix, WeightVector
 
@@ -140,13 +141,13 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid in sorted(truth.relevant):
-            for item in sorted(truth.relevant[qid]):
-                fh.write(f"{qid}\trel\t{item}\n")
-        for qid in sorted(truth.junk):
-            for item in sorted(truth.junk[qid]):
-                fh.write(f"{qid}\tjunk\t{item}\n")
+    lines = [
+        f"{qid}\t{tag}\t{item}\n"
+        for tag, table in (("rel", truth.relevant), ("junk", truth.junk))
+        for qid in sorted(table)
+        for item in sorted(table[qid])
+    ]
+    write_text_file(path, "".join(lines))
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:

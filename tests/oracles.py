@@ -23,9 +23,15 @@ the reference for the program's.
 ``maxpool_oracle`` is the count-invariant sum of the distinct codewords in a
 set. ``generate_synthetic`` builds the deterministic bursty datasets of the
 retrieval-direction criterion.
+
+``failing_writes`` makes the files that ``mkagg.matio`` writes fail midway,
+as on a full disk.
 """
 
+import builtins
+import errno
 import time
+from pathlib import Path
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +45,7 @@ from mkagg.democratic import (
 )
 from mkagg.embed import EmbeddingConfig, _kmeanspp_init, embed_set
 from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
+from mkagg import matio
 from mkagg.kernel import gram
 from mkagg.normalize import _ORTHO_PANEL_BYTES, _ORTHO_TOL
 from mkagg.retrieval import GroundTruth
@@ -365,3 +372,32 @@ def maxpool_oracle(embedded: EmbeddedSet, codebook_embeddings: np.ndarray, tol: 
             raise ValueError(f"column {i} matches no codeword (distance {dist[k]:.3e})")
         present.add(k)
     return q[:, sorted(present)].sum(axis=1)
+
+
+class _FailingFile:
+    """A file that writes half of its first chunk, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def failing_writes(monkeypatch, name: str | None = None) -> None:
+    """Make every file that ``mkagg.matio`` opens for writing, or only the one
+    whose file name is ``name``, fail partway through its first write."""
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        failing = "w" in mode and name in (None, Path(file).name)
+        return _FailingFile(fh) if failing else fh
+
+    monkeypatch.setattr(matio, "open", fake_open, raising=False)

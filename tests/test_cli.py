@@ -12,6 +12,7 @@ from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
 from mkagg.kernel import gram
 from mkagg.normalize import NormalizeConfig, apply_chain
 from mkagg.types import AggregateVector, Codebook, DescriptorSet
+from oracles import failing_writes
 
 
 @pytest.fixture
@@ -119,6 +120,18 @@ class TestAggregate:
         assert lines[0] == "idx\tweight\tcontribution"
         weights = [float(line.split("\t")[1]) for line in lines[1:]]
         np.testing.assert_allclose(weights, [0.5, 0.5, 0.5, 0.5, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("failing", ["v.mkvc", "w.tsv"])
+    def test_failed_write_leaves_no_partial_file(self, toy_files, tmp_path, monkeypatch, capsys, failing):
+        mkds, mkcb = toy_files
+        failing_writes(monkeypatch, failing)
+        code = main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--embedding", "bow", "--method", "democratic", "--output",
+                     str(tmp_path / "v.mkvc"), "--dump-weights", str(tmp_path / "w.tsv")])
+        assert code == 3
+        assert "No space" in capsys.readouterr().err
+        written = {"v.mkvc"} if failing == "w.tsv" else set()
+        assert {p.name for p in tmp_path.iterdir()} == {"toy.mkds", "toy.mkcb", *written}
 
     def test_bad_magic_exit_3(self, toy_files, tmp_path, capsys):
         _, mkcb = toy_files
@@ -335,6 +348,11 @@ class TestDemo2d:
         cos_gmp = cosine(rows["gmp_a"][0], rows["gmp_b"][0])
         assert cos_sum > cos_dem
         assert cos_sum > cos_gmp
+
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
+        failing_writes(monkeypatch)
+        assert main(["demo2d", "--output", str(tmp_path / "demo.tsv")]) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

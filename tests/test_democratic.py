@@ -1,8 +1,14 @@
 """Democratic weighting: scaling loop behaviour and its aggregate."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mkagg import cli, kernel, matio
 from mkagg.democratic import (
     DemocraticConfig,
     aggregate_democratic,
@@ -199,3 +205,149 @@ class TestHellingerEquivalence:
             hellinger = np.sqrt(counts)
             hellinger /= np.linalg.norm(hellinger)
             assert np.max(np.abs(agg - hellinger)) <= 1e-6
+
+
+def _aggregate_args(method, *extra):
+    """The parsed arguments of one ``aggregate`` command."""
+    return cli._parser().parse_args(
+        ["aggregate", "--descriptors", "-", "--codebook", "-", "--output", "-",
+         "--method", method, *extra]
+    )
+
+
+def _cell_set(sizes, w, c, seed):
+    """An embedded set with one cell of each size, in random blocks of c and at
+    random positions; w = 1 is the bow embedding (every row 1)."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.choice(c, size=len(sizes), replace=False)
+    assignment = rng.permutation(np.repeat(blocks, sizes)).astype(np.int64)
+    if w == 1:
+        rows = np.ones((assignment.size, 1))
+    else:
+        rows = rng.normal(size=(assignment.size, w))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return EmbeddedSet._trusted(rows, assignment, c, True)
+
+
+@st.composite
+def _part_cases(draw):
+    """(embedded set, budget) with cell sizes that straddle the budget: a cell
+    of side s has a block of 8 s^2 bytes, and the budget fits a side of
+    exactly ``side``."""
+    side = draw(st.integers(2, 10))
+    shape = draw(st.sampled_from(["many_small", "one_over", "single", "mixed"]))
+    if shape == "many_small":
+        sizes = draw(st.lists(st.integers(1, side // 2 + 1), min_size=2, max_size=30))
+    elif shape == "one_over":
+        sizes = draw(st.lists(st.integers(1, side), min_size=0, max_size=12))
+        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(side + 1, 3 * side)))
+    elif shape == "single":
+        sizes = [draw(st.integers(1, 3 * side))]
+    else:
+        sizes = draw(st.lists(st.integers(1, 2 * side), min_size=1, max_size=12))
+    w = draw(st.sampled_from([1, 3, 8]))
+    c = len(sizes) + draw(st.integers(0, 3))
+    return _cell_set(sizes, w, c, draw(st.integers(0, 2**32 - 1))), 8 * side**2
+
+
+def _block_bytes(emb):
+    return [8 * idx.size**2 for _, idx in emb.cells()]
+
+
+class TestPerPartWeights:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_part_cases(), st.sampled_from([0.1, 0.3, 0.5]))
+    def test_parts_partition_fit_and_give_whole_kernel_weights(self, case, gamma):
+        emb, budget = case
+        with mock.patch.object(kernel, "_PART_BUDGET", budget):
+            got = list(kernel.parts(emb))
+            _, weights, kern = cli._aggregate_one(emb, _aggregate_args("democratic", "--gamma", str(gamma)))
+        assert kern is None
+        if sum(_block_bytes(emb)) <= budget:
+            assert len(got) == 1 and got[0][0] == slice(None) and got[0][1] is emb
+        else:
+            indices = [idx for idx, _ in got]
+            np.testing.assert_array_equal(np.sort(np.concatenate(indices)), np.arange(emb.n))
+            for k, (idx, part) in enumerate(got):
+                assert np.all(np.diff(idx) > 0)
+                np.testing.assert_array_equal(part.rows, emb.rows[idx])
+                np.testing.assert_array_equal(part.assignment, emb.assignment[idx])
+                assert (part.c, part.unit_columns) == (emb.c, emb.unit_columns)
+                sizes = _block_bytes(part)
+                if len(sizes) >= 2:
+                    assert sum(sizes) <= budget
+                if k + 1 < len(got):  # greedy: the next part's first cell did not fit
+                    assert sum(sizes) + _block_bytes(got[k + 1][1])[0] > budget
+        want = sinkhorn_weights(gram(emb), DemocraticConfig(gamma=gamma)).alpha
+        np.testing.assert_array_equal(weights.alpha, want)
+
+    def test_cli_writes_the_whole_kernel_aggregate(self, tmp_path):
+        """Cells of 1000 (8 MB block, over the budget), 300, 50 and 20."""
+        rng = np.random.default_rng(190)
+        centroids = 10.0 * np.eye(4, 8)
+        desc = np.concatenate([centroids[k] + rng.normal(size=(m, 8))
+                               for k, m in enumerate((1000, 300, 50, 20))])
+        desc = desc[rng.permutation(desc.shape[0])].astype(np.float32)
+        mkds, mkcb = tmp_path / "d.mkds", tmp_path / "c.mkcb"
+        matio.write_matrix_file(mkds, matio.MAGIC_DESCRIPTORS, desc)
+        matio.write_matrix_file(mkcb, matio.MAGIC_CODEBOOK, centroids)
+        out, ref = tmp_path / "cli.mkvc", tmp_path / "ref.mkvc"
+        assert cli.main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                         "--method", "democratic", "--output", str(out)]) == 0
+
+        emb = embed_set(DescriptorSet(desc), Codebook(centroids), EmbeddingConfig())
+        assert len(list(kernel.parts(emb))) > 1
+        weights = sinkhorn_weights(gram(emb), DemocraticConfig())
+        matio.save_vector(ref, aggregate_democratic(emb, weights).xi)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_peak_memory_is_one_burst(self):
+        """Bursts of 2000, 1500 and 1000 plus 1500 scattered descriptors: the
+        whole kernel and its clipped copy would take 2 x 58 MB."""
+        rng = np.random.default_rng(191)
+        assignment = np.concatenate([np.repeat([0, 1, 2], [2000, 1500, 1000]),
+                                     rng.integers(3, 16, size=1500)])
+        rows = rng.normal(size=(6000, 128))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        emb = EmbeddedSet._trusted(rows, rng.permutation(assignment), 16, True)
+        args = _aggregate_args("democratic")
+        tracemalloc.start()
+        try:
+            cli._aggregate_one(emb, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (8 * 2000**2) + rows.nbytes
+
+
+@st.composite
+def _descriptor_sets(draw):
+    """(descriptors, codebook, embedding): a few centroids, each with a burst
+    of near-duplicates, plus scattered descriptors."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    centroids = 4.0 * rng.normal(size=(c, d))
+    bursts = [centroids[k] + 0.5 * rng.normal(size=d) + 1e-3 * rng.normal(size=(m, d))
+              for k, m in enumerate(rng.integers(0, 20, size=c))]
+    scattered = centroids[rng.integers(0, c, size=draw(st.integers(1, 40)))]
+    desc = np.concatenate([*bursts, scattered + rng.normal(size=scattered.shape)])
+    return DescriptorSet(desc), Codebook(centroids), draw(st.sampled_from(["bow", "residual"]))
+
+
+class TestPermutationProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_descriptor_sets(), st.integers(0, 2**32 - 1))
+    def test_permuting_descriptors_permutes_weights(self, case, seed):
+        """Blocks reorder with the descriptors, so only rounding may differ."""
+        descriptors, codebook, kind = case
+        perm = np.random.default_rng(seed).permutation(descriptors.n)
+        moved = DescriptorSet(descriptors.data[perm])
+        cfg = EmbeddingConfig(kind)
+        for method in ("democratic", "gmp"):
+            args = _aggregate_args(method)
+            agg, weights, _ = cli._aggregate_one(embed_set(descriptors, codebook, cfg), args)
+            agg_p, weights_p, _ = cli._aggregate_one(embed_set(moved, codebook, cfg), args)
+            want = weights.alpha[perm]
+            assert np.max(np.abs(weights_p.alpha - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(agg_p.xi - agg.xi)) <= 1e-10 * np.max(np.abs(agg.xi))
