@@ -53,24 +53,22 @@ def cmd_train_codebook(args) -> int:
     return 0
 
 
-def _aggregate_one(embedded: EmbeddedSet, args):
-    """Returns (aggregate, weights, kernel). The whole kernel is built only to
-    dump the weights, else it is None. Democratic weights are scaled one part
-    of the kernel at a time (``kernel.parts``): the scaling never mixes blocks,
-    so they equal the whole kernel's weights bit for bit, while only one part's
-    Gram and its clipped copy are alive."""
-    kern = gram(embedded) if args.dump_weights else None
+def _aggregate_one(embedded: EmbeddedSet, args) -> tuple[AggregateVector, WeightVector]:
+    """Pool ``embedded`` by ``args.method``. Democratic weights are scaled one
+    part of the kernel at a time (``kernel.parts``): the scaling never mixes
+    blocks, so they equal the whole kernel's weights bit for bit, while only
+    one part's Gram and its clipped copy are alive. GMP builds no Gram."""
     if args.method == "sum":
-        return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform"), kern
+        return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform")
     if args.method == "democratic":
         cfg = DemocraticConfig(gamma=args.gamma, n_iter=args.iters)
         alpha = np.empty(embedded.n)
         for idx, part in parts(embedded):
             alpha[idx] = sinkhorn_weights(gram(part), cfg).alpha
         weights = WeightVector(alpha, "democratic")
-        return aggregate_democratic(embedded, weights), weights, kern
+        return aggregate_democratic(embedded, weights), weights
     weights = gmp_weights(embedded, GmpConfig(lam=args.lam))
-    return aggregate_gmp(embedded, weights), weights, kern
+    return aggregate_gmp(embedded, weights), weights
 
 
 def cmd_aggregate(args) -> int:
@@ -78,10 +76,10 @@ def cmd_aggregate(args) -> int:
     codebook = _load_codebook(args.codebook)
     cfg = EmbeddingConfig(kind=args.embedding, normalize_residuals=args.normalize_residuals)
     embedded = embed_set(descriptors, codebook, cfg)
-    aggregate, weights, kern = _aggregate_one(embedded, args)
+    aggregate, weights = _aggregate_one(embedded, args)
     matio.save_vector(args.output, aggregate.xi)
     if args.dump_weights:
-        matio.write_text_file(args.dump_weights, retrieval.export_weights(kern, weights))
+        matio.write_text_file(args.dump_weights, retrieval.export_weights(embedded, weights))
     print(f"wrote {aggregate.dim}-dim {args.method} aggregate to {args.output}")
     return 0
 
@@ -125,26 +123,25 @@ def _load_normalized(path: str) -> AggregateVector:
 def cmd_eval(args) -> int:
     index_entries = retrieval.read_manifest(args.index)
     query_entries = retrieval.read_manifest(args.queries)
+    if not query_entries:
+        raise ValueError("no queries to evaluate")
     truth = retrieval.read_ground_truth(args.truth)
 
     index = [(item_id, _load_normalized(path)) for item_id, path in index_entries]
     queries = [(qid, _load_normalized(path)) for qid, path in query_entries]
 
-    rankings = {
-        qid: [item_id for item_id, _ in retrieval.rank(vec, index)] for qid, vec in queries
-    }
-    aps = {
-        qid: retrieval.average_precision(
-            rankings[qid],
+    aps = [
+        retrieval.average_precision(
+            [item_id for item_id, _ in retrieval.rank(vec, index)],
             truth.relevant.get(qid, frozenset()),
             truth.junk.get(qid, frozenset()),
             exclude_id=qid if args.exclude_self else None,
         )
-        for qid in rankings
-    }
-    for qid in rankings:
-        print(f"{qid}\t{aps[qid]:.6f}")
-    print(f"mAP\t{float(np.mean(list(aps.values()))):.6f}")
+        for qid, vec in queries
+    ]
+    for (qid, _), ap in zip(queries, aps):
+        print(f"{qid}\t{ap:.6f}")
+    print(f"mAP\t{float(np.mean(aps)):.6f}")
     return 0
 
 
@@ -153,33 +150,22 @@ _DEMO_DISTINCT_A = 0.0
 _DEMO_DISTINCT_B = np.deg2rad(45.0)
 
 
-def _demo_aggregates(distinct_angle: float) -> dict[str, np.ndarray]:
-    angles = np.concatenate([_DEMO_CLUSTER_ANGLES, [distinct_angle]])
-    phi = np.stack([np.cos(angles), np.sin(angles)])
-    embedded = EmbeddedSet(phi=phi)
-    kern = gram(embedded)
-    dem = aggregate_democratic(embedded, sinkhorn_weights(kern, DemocraticConfig()))
-    pooled = aggregate_gmp(embedded, gmp_weights(kern, GmpConfig(lam=1.0)))
-    return {
-        "sum": aggregate_sum(embedded).xi,
-        "democratic": dem.xi,
-        "gmp": pooled.xi,
-    }
-
-
 def cmd_demo2d(args) -> int:
     """2-D toy: a tight cluster of descriptors plus one distinctive descriptor.
 
     Sum pooling lets the cluster dominate, so the two configurations end up
     nearly parallel; the weighted aggregations keep them distinguishable.
     """
-    lines = ["label\tx\ty"]
-    for angle in _DEMO_CLUSTER_ANGLES:
-        lines.append(f"cluster\t{np.cos(angle):.12g}\t{np.sin(angle):.12g}")
-    lines.append(f"distinct_a\t{np.cos(_DEMO_DISTINCT_A):.12g}\t{np.sin(_DEMO_DISTINCT_A):.12g}")
-    lines.append(f"distinct_b\t{np.cos(_DEMO_DISTINCT_B):.12g}\t{np.sin(_DEMO_DISTINCT_B):.12g}")
+    points = [("cluster", a) for a in _DEMO_CLUSTER_ANGLES]
+    points += [("distinct_a", _DEMO_DISTINCT_A), ("distinct_b", _DEMO_DISTINCT_B)]
+    lines = ["label\tx\ty"] + [f"{label}\t{np.cos(a):.12g}\t{np.sin(a):.12g}" for label, a in points]
+    # The library's default settings, which are also ``aggregate``'s defaults.
+    settings = dict(gamma=DemocraticConfig.gamma, iters=DemocraticConfig.n_iter, lam=GmpConfig.lam)
     for tag, angle in (("a", _DEMO_DISTINCT_A), ("b", _DEMO_DISTINCT_B)):
-        for method, xi in _demo_aggregates(angle).items():
+        angles = np.concatenate([_DEMO_CLUSTER_ANGLES, [angle]])
+        embedded = EmbeddedSet(phi=np.stack([np.cos(angles), np.sin(angles)]))
+        for method in ("sum", "democratic", "gmp"):
+            xi = _aggregate_one(embedded, argparse.Namespace(method=method, **settings))[0].xi
             lines.append(f"{method}_{tag}\t{xi[0]:.12g}\t{xi[1]:.12g}")
     matio.write_text_file(args.output, "\n".join(lines) + "\n")
     print(f"wrote 2-D pooling demo to {args.output}")
@@ -214,9 +200,9 @@ def _parser() -> argparse.ArgumentParser:
         "--normalize-residuals", action=argparse.BooleanOptionalAction, default=True
     )
     p.add_argument("--method", choices=("sum", "democratic", "gmp"), default="sum")
-    p.add_argument("--gamma", type=float, default=0.3, help="Sinkhorn damping exponent")
-    p.add_argument("--iters", type=int, default=10, help="Sinkhorn iteration count")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="ridge regularizer")
+    p.add_argument("--gamma", type=float, default=DemocraticConfig.gamma, help="Sinkhorn damping exponent")
+    p.add_argument("--iters", type=int, default=DemocraticConfig.n_iter, help="Sinkhorn iteration count")
+    p.add_argument("--lambda", dest="lam", type=float, default=GmpConfig.lam, help="ridge regularizer")
     p.add_argument("--output", required=True, help="MKVC output path")
     p.add_argument("--dump-weights", default=None, help="optional per-descriptor weight TSV")
     p.set_defaults(func=cmd_aggregate)

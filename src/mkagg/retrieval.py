@@ -16,7 +16,7 @@ import numpy as np
 
 from .matio import write_text_file
 from .normalize import similarity
-from .types import AggregateVector, DataFormatError, KernelMatrix, WeightVector
+from .types import AggregateVector, DataFormatError, EmbeddedSet, WeightVector
 
 
 @dataclass(frozen=True)
@@ -91,23 +91,21 @@ def mean_average_precision(
 
 
 def export_weights(
-    kern: KernelMatrix,
+    embedded: EmbeddedSet,
     weights: WeightVector,
     positions: Sequence[tuple[float, float]] | None = None,
 ) -> str:
-    """Per-descriptor TSV: index, weight, and contribution a_i * (K a)_i.
-
-    ``positions`` optionally appends x/y columns for plotting weights over an
-    image.
+    """Per-descriptor TSV: index, weight, and contribution a_i * (K a)_i, read
+    as a_i times the match phi_i . xi to the aggregate xi, so K is never built.
+    ``positions`` optionally appends x/y columns for plotting weights.
     """
-    if weights.n != kern.n:
-        raise ValueError(f"weight vector has length {weights.n}, kernel order is {kern.n}")
-    if positions is not None and len(positions) != kern.n:
-        raise ValueError(f"got {len(positions)} positions for {kern.n} descriptors")
+    n = embedded.n
+    if positions is not None and len(positions) != n:
+        raise ValueError(f"got {len(positions)} positions for {n} descriptors")
 
-    contributions = weights.alpha * kern.matvec(weights.alpha)
+    contributions = weights.alpha * embedded.matches(embedded.pool(weights.alpha))
     lines = ["idx\tweight\tcontribution" + ("\tx\ty" if positions is not None else "")]
-    for i in range(kern.n):
+    for i in range(n):
         row = f"{i}\t{weights.alpha[i]:.12g}\t{contributions[i]:.12g}"
         if positions is not None:
             row += f"\t{positions[i][0]:.12g}\t{positions[i][1]:.12g}"
@@ -151,8 +149,9 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """Parse an `id<TAB>vector_file_path` manifest, keeping file order."""
+    """Parse an `id<TAB>vector_file_path` manifest of unique ids, keeping file order."""
     entries: list[tuple[str, str]] = []
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -161,5 +160,8 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
+            if parts[0] in seen:
+                raise DataFormatError(f"{path}:{lineno}: id {parts[0]!r} repeats line {seen[parts[0]]}")
+            seen[parts[0]] = lineno
             entries.append((parts[0], parts[1]))
     return entries

@@ -245,6 +245,17 @@ class EmbeddedSet:
             out[k] = alpha[idx] @ self.rows[idx]
         return out.reshape(-1)
 
+    def matches(self, xi: np.ndarray) -> np.ndarray:
+        """The n-vector of matches phi_i . xi, one product per block: the
+        adjoint of ``pool``, so ``matches(pool(a))`` is K a without K."""
+        if xi.shape != (self.dim,):
+            raise ValueError(f"vector has shape {xi.shape}, embeddings have dimension {self.dim}")
+        blocks = xi.reshape(self.c, self.width)
+        out = np.zeros(self.n)
+        for k, idx in self.cells():
+            out[idx] = self.rows[idx] @ blocks[k]
+        return out
+
 
 @dataclass(frozen=True)
 class KernelBlock:

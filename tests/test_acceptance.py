@@ -150,7 +150,7 @@ def test_criterion_3_lambda_limits():
 
 
 def test_criterion_4_solver_oracles():
-    """CG against dense solves; the scaling loop against a re-implementation."""
+    """GMP weights against dense solves; the scaling loop against a re-implementation."""
     rng = np.random.default_rng(103)
     worst_cg = 0.0
     for n in (25, 120, 300):
@@ -178,7 +178,7 @@ def test_criterion_4_solver_oracles():
     _report(
         "criterion 4: solver oracles",
         worst_cg <= 1e-5 and worst_sinkhorn <= 1e-12,
-        f"CG vs direct {worst_cg:.2e}, scaling loop vs oracle {worst_sinkhorn:.2e}",
+        f"GMP vs dense solve {worst_cg:.2e}, scaling loop vs oracle {worst_sinkhorn:.2e}",
     )
 
 

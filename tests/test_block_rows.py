@@ -126,6 +126,38 @@ def test_aggregates_equal_dense_weighted_sums(case):
     assert _close(aggregate_gmp(emb, pooled).xi, phi @ pooled.alpha)
 
 
+def _check_matches(emb, phi, v):
+    """matches is phi^T xi, and matches(pool(v)) is K v: elementwise within
+    1e-12 of the rounding scale |phi|^T |phi| |v| (cancellation may leave an
+    entry near zero, where a purely relative bound would not hold)."""
+    xi = emb.pool(v)
+    assert _close(emb.matches(xi), phi.T @ xi)
+    scale = np.abs(phi).T @ (np.abs(phi) @ np.abs(v))
+    assert np.all(np.abs(emb.matches(xi) - gram(emb).matvec(v)) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(any_sets(max_n=60, max_w=12), st.integers(0, 2**32 - 1))
+def test_matches_of_pool_is_kernel_matvec(case, seed):
+    """Block rows with zero rows, and dense sets with c = 1."""
+    emb, phi = case
+    assume(emb.n > 0)
+    _check_matches(emb, phi, np.random.default_rng(seed).normal(size=emb.n))
+
+
+@PROPERTY
+@given(st.integers(1, 60), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_matches_of_pool_is_kernel_matvec_on_embedded_descriptors(n, c, d, seed, bow):
+    """Bow rows, and residual rows whose zero residuals give zero rows."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.normal(size=(c, d)).astype(np.float32).astype(np.float64)
+    points = rng.normal(size=(n, d))
+    points[: n // 3] = centroids[rng.integers(0, c, size=n // 3)]
+    cfg = EmbeddingConfig("bow" if bow else "residual")
+    emb = embed_set(DescriptorSet(points.astype(np.float32)), Codebook(centroids), cfg)
+    _check_matches(emb, emb.phi, rng.normal(size=n))
+
+
 @pytest.mark.parametrize("layout", [((0, 2), (3, 4)), ((0, 1), (1, 4)), ((0, 2),)])
 def test_layout_that_does_not_tile_is_rejected(layout):
     with pytest.raises(ValueError, match="tile"):

@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from mkagg import cli, matio
+from mkagg import cli, kernel, matio
 from mkagg.cli import main
 from mkagg.democratic import DemocraticConfig, aggregate_democratic, sinkhorn_weights
 from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
+from mkagg.gmp import GmpConfig, gmp_weights
 from mkagg.kernel import gram
 from mkagg.normalize import NormalizeConfig, apply_chain
 from mkagg.types import AggregateVector, Codebook, DescriptorSet
@@ -108,6 +109,70 @@ class TestAggregate:
         assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
                      "--embedding", "bow", "--method", "gmp", "--output", str(out)]) == 0
         np.testing.assert_allclose(matio.load_vector(out), [0.8, 0.5], atol=1e-6)
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize(
+        "method, expected", [("sum", [4.0, 1.0]), ("democratic", [2.0, 1.0]), ("gmp", [0.8, 0.5])]
+    )
+    def test_kernel_built_once_per_part_for_democratic_only(
+        self, toy_files, tmp_path, monkeypatch, method, expected, dump
+    ):
+        # A budget of one 4x4 block splits the toy's cells (4 and 1 descriptors) into two parts.
+        monkeypatch.setattr(kernel, "_PART_BUDGET", 8 * 4**2)
+        built = []
+
+        def counting_gram(embedded):
+            built.append(embedded.n)
+            return gram(embedded)
+
+        monkeypatch.setattr(cli, "gram", counting_gram)
+        mkds, mkcb = toy_files
+        out = tmp_path / "v.mkvc"
+        argv = ["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                "--embedding", "bow", "--method", method, "--gamma", "0.5", "--output", str(out)]
+        assert main(argv + (["--dump-weights", str(tmp_path / "w.tsv")] if dump else [])) == 0
+        assert built == ([4, 1] if method == "democratic" else [])
+        np.testing.assert_allclose(matio.load_vector(out), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["sum", "democratic", "gmp"])
+    def test_each_method_reads_only_its_own_settings(self, toy_files, tmp_path, method):
+        mkds, mkcb = toy_files
+        unused = {
+            "sum": ["--gamma", "0.9", "--iters", "0", "--lambda", "-1"],
+            "democratic": ["--lambda", "-1"],
+            "gmp": ["--gamma", "0.9", "--iters", "0"],
+        }[method]
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--method", method, "--output", str(tmp_path / "v.mkvc"), *unused]) == 0
+
+    @pytest.mark.parametrize("method", ["sum", "democratic", "gmp"])
+    @pytest.mark.parametrize("embedding", ["bow", "residual"])
+    def test_dumped_contributions_are_weighted_kernel_row_sums(self, tmp_path, method, embedding):
+        rng = np.random.default_rng(63)
+        descriptors = DescriptorSet(rng.normal(size=(300, 3)).astype(np.float32))
+        codebook = Codebook(rng.normal(size=(5, 3)).astype(np.float32))
+        mkds, mkcb, dump = tmp_path / "d.mkds", tmp_path / "c.mkcb", tmp_path / "w.tsv"
+        matio.write_matrix_file(mkds, matio.MAGIC_DESCRIPTORS, descriptors.data)
+        matio.write_matrix_file(mkcb, matio.MAGIC_CODEBOOK, codebook.centroids)
+        assert main(["aggregate", "--descriptors", str(mkds), "--codebook", str(mkcb),
+                     "--embedding", embedding, "--method", method, "--output",
+                     str(tmp_path / "v.mkvc"), "--dump-weights", str(dump)]) == 0
+
+        kern = gram(embed_set(descriptors, codebook, EmbeddingConfig(embedding)))
+        alpha = {
+            "sum": np.ones(kern.n),
+            "democratic": sinkhorn_weights(kern, DemocraticConfig()).alpha,
+            "gmp": gmp_weights(kern, GmpConfig()).alpha,
+        }[method]
+        oracle = alpha * kern.matvec(alpha)
+        rows = [line.split("\t") for line in dump.read_text().split("\n")[1:-1]]
+        weights, contributions = np.array([row[1:] for row in rows], dtype=np.float64).T
+        np.testing.assert_allclose(weights, alpha, rtol=1e-11)
+        # Within 1e-12 of the oracle, plus half a unit in the 12th printed digit.
+        nonzero = contributions != 0
+        half_unit = np.zeros(kern.n)
+        half_unit[nonzero] = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(contributions[nonzero]))) - 11)
+        assert np.all(np.abs(contributions - oracle) <= 1e-12 * np.abs(oracle) + half_unit)
 
     def test_dump_weights(self, toy_files, tmp_path):
         mkds, mkcb = toy_files
@@ -315,6 +380,28 @@ class TestEval:
                      "--truth", str(truth), "--exclude-self"])
         assert code == 2
         assert "no relevant" in capsys.readouterr().err
+
+    def test_empty_queries_exit_2(self, tmp_path, capsys):
+        index, queries = self._build_corpus(tmp_path)
+        queries.write_text("")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("q\trel\ta\n")
+        code = main(["eval", "--index", str(index), "--queries", str(queries),
+                     "--truth", str(truth)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no queries to evaluate" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_id_exit_3(self, tmp_path, capsys):
+        index, _ = self._build_corpus(tmp_path)
+        index.write_text(index.read_text() + index.read_text().split("\n")[1] + "\n")
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("a\trel\tq\n")
+        code = main(["eval", "--index", str(index), "--queries", str(index),
+                     "--truth", str(truth)])
+        assert code == 3
+        assert "id 'a' repeats line 2" in capsys.readouterr().err
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         index, queries = self._build_corpus(tmp_path)

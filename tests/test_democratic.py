@@ -261,8 +261,7 @@ class TestPerPartWeights:
         emb, budget = case
         with mock.patch.object(kernel, "_PART_BUDGET", budget):
             got = list(kernel.parts(emb))
-            _, weights, kern = cli._aggregate_one(emb, _aggregate_args("democratic", "--gamma", str(gamma)))
-        assert kern is None
+            _, weights = cli._aggregate_one(emb, _aggregate_args("democratic", "--gamma", str(gamma)))
         if sum(_block_bytes(emb)) <= budget:
             assert len(got) == 1 and got[0][0] == slice(None) and got[0][1] is emb
         else:
@@ -346,8 +345,8 @@ class TestPermutationProperty:
         cfg = EmbeddingConfig(kind)
         for method in ("democratic", "gmp"):
             args = _aggregate_args(method)
-            agg, weights, _ = cli._aggregate_one(embed_set(descriptors, codebook, cfg), args)
-            agg_p, weights_p, _ = cli._aggregate_one(embed_set(moved, codebook, cfg), args)
+            agg, weights = cli._aggregate_one(embed_set(descriptors, codebook, cfg), args)
+            agg_p, weights_p = cli._aggregate_one(embed_set(moved, codebook, cfg), args)
             want = weights.alpha[perm]
             assert np.max(np.abs(weights_p.alpha - want)) <= 1e-10 * np.max(np.abs(want))
             assert np.max(np.abs(agg_p.xi - agg.xi)) <= 1e-10 * np.max(np.abs(agg.xi))

@@ -16,7 +16,14 @@ from mkagg.retrieval import (
     read_manifest,
     write_ground_truth,
 )
-from mkagg.types import AggregateVector, Codebook, DescriptorSet, KernelMatrix, WeightVector
+from mkagg.types import (
+    AggregateVector,
+    Codebook,
+    DataFormatError,
+    DescriptorSet,
+    EmbeddedSet,
+    WeightVector,
+)
 from oracles import SyntheticSpec, generate_synthetic
 
 
@@ -124,8 +131,6 @@ class TestGroundTruth:
     def test_bad_tag_rejected(self, tmp_path):
         path = tmp_path / "truth.tsv"
         path.write_text("q1\tmaybe\ta\n")
-        from mkagg.types import DataFormatError
-
         with pytest.raises(DataFormatError, match="tag"):
             read_ground_truth(path)
 
@@ -135,6 +140,12 @@ class TestManifest:
         path = tmp_path / "index.tsv"
         path.write_text("a\t/tmp/a.mkvc\nb\t/tmp/b.mkvc\n")
         assert read_manifest(path) == [("a", "/tmp/a.mkvc"), ("b", "/tmp/b.mkvc")]
+
+    def test_repeated_id_names_its_line(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_text("a\t/tmp/a.mkvc\nb\t/tmp/b.mkvc\n\na\t/tmp/c.mkvc\n")
+        with pytest.raises(DataFormatError, match=r"index.tsv:4: id 'a' repeats line 1"):
+            read_manifest(path)
 
 
 class TestGenerateSynthetic:
@@ -195,44 +206,39 @@ class TestExportWeights:
         cb = Codebook(np.array([[0.0], [10.0]]))
         return embed_set(ds, cb, EmbeddingConfig("bow"))
 
+    @staticmethod
+    def _contributions(text):
+        return np.array([float(line.split("\t")[2]) for line in text.strip().split("\n")[1:]])
+
     def test_uniform_weights_give_row_sums(self):
-        kern = gram(self._bow_toy())
-        text = export_weights(kern, WeightVector(np.ones(5), "uniform"))
-        lines = text.strip().split("\n")
-        assert lines[0] == "idx\tweight\tcontribution"
-        contribs = [float(line.split("\t")[2]) for line in lines[1:]]
-        np.testing.assert_allclose(contribs, kern.matvec(np.ones(5)), atol=1e-12)
+        emb = self._bow_toy()
+        text = export_weights(emb, WeightVector(np.ones(5), "uniform"))
+        assert text.split("\n")[0] == "idx\tweight\tcontribution"
+        np.testing.assert_allclose(self._contributions(text), [4, 4, 4, 4, 1], atol=1e-12)
 
     def test_democratic_contributions_equal_one(self):
         emb = self._bow_toy()
-        kern = gram(emb)
-        w = sinkhorn_weights(kern, DemocraticConfig(gamma=0.5))
-        text = export_weights(kern, w)
-        contribs = [float(line.split("\t")[2]) for line in text.strip().split("\n")[1:]]
-        np.testing.assert_allclose(contribs, 1.0, atol=1e-12)
+        w = sinkhorn_weights(gram(emb), DemocraticConfig(gamma=0.5))
+        np.testing.assert_allclose(self._contributions(export_weights(emb, w)), 1.0, atol=1e-12)
 
     def test_matches_matrix_vector_oracle(self):
         rng = np.random.default_rng(52)
-        raw = rng.normal(size=(8, 8))
-        kern = KernelMatrix.from_dense(raw @ raw.T)
+        emb = EmbeddedSet(phi=rng.normal(size=(8, 8)))
         alpha = rng.uniform(0.5, 2.0, size=8)
-        text = export_weights(kern, WeightVector(alpha, "gmp"))
-        contribs = np.array(
-            [float(line.split("\t")[2]) for line in text.strip().split("\n")[1:]]
-        )
-        oracle = np.diag(alpha) @ kern.to_dense() @ alpha
-        np.testing.assert_allclose(contribs, oracle, rtol=1e-10)
+        text = export_weights(emb, WeightVector(alpha, "gmp"))
+        oracle = np.diag(alpha) @ emb.phi.T @ emb.phi @ alpha
+        np.testing.assert_allclose(self._contributions(text), oracle, rtol=1e-10)
 
     def test_positions_columns(self):
-        kern = KernelMatrix.from_dense(np.eye(2))
+        emb = EmbeddedSet(phi=np.eye(2))
         text = export_weights(
-            kern, WeightVector(np.ones(2), "uniform"), positions=[(1.0, 2.0), (3.0, 4.0)]
+            emb, WeightVector(np.ones(2), "uniform"), positions=[(1.0, 2.0), (3.0, 4.0)]
         )
         lines = text.strip().split("\n")
         assert lines[0] == "idx\tweight\tcontribution\tx\ty"
         assert lines[1].split("\t")[3:] == ["1", "2"]
 
     def test_length_mismatch(self):
-        kern = KernelMatrix.from_dense(np.eye(2))
+        emb = EmbeddedSet(phi=np.eye(2))
         with pytest.raises(ValueError, match="length"):
-            export_weights(kern, WeightVector(np.ones(3), "uniform"))
+            export_weights(emb, WeightVector(np.ones(3), "uniform"))

@@ -97,6 +97,14 @@ class TestEmbeddedSet:
         with pytest.raises(ValueError, match="unit_columns"):
             EmbeddedSet(phi=phi, unit_columns=True)
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
+    def test_matches_rejects_a_vector_of_another_dimension(self, shape):
+        es = EmbeddedSet(
+            phi=np.zeros((4, 2)), assignment=np.array([0, 1]), block_layout=((0, 2), (2, 4))
+        )
+        with pytest.raises(ValueError, match="dimension 4"):
+            es.matches(np.zeros(shape))
+
     def test_assignment_requires_layout(self):
         with pytest.raises(ValueError, match="together"):
             EmbeddedSet(phi=np.eye(2), assignment=np.array([0, 1]))
