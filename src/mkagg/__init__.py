@@ -9,7 +9,7 @@ max pooling), aggregate, normalize, and evaluate retrieval quality.
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from .embed import EmbeddingConfig, assign_hard, embed_set, train_codebook
 from .gmp import GmpConfig, aggregate_gmp, gmp_weights
-from .kernel import clip_negatives, gram, threshold_sparsify
+from .kernel import clip_negatives, gram
 from .matio import (
     MAGIC_CODEBOOK,
     MAGIC_DESCRIPTORS,
@@ -31,6 +31,7 @@ from .retrieval import (
     average_precision,
     export_weights,
     mean_average_precision,
+    query_average_precisions,
     rank,
     read_ground_truth,
     read_manifest,
@@ -95,6 +96,7 @@ __all__ = [
     "l2_normalize",
     "mean_average_precision",
     "power_law",
+    "query_average_precisions",
     "rank",
     "read_ground_truth",
     "read_manifest",
@@ -102,7 +104,6 @@ __all__ = [
     "rn_fit",
     "similarity",
     "sinkhorn_weights",
-    "threshold_sparsify",
     "train_codebook",
     "write_ground_truth",
     "write_matrix_file",

@@ -22,7 +22,7 @@ from . import matio, retrieval
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from .embed import EmbeddingConfig, embed_set, train_codebook
 from .gmp import GmpConfig, aggregate_gmp, gmp_weights
-from .kernel import gram, parts
+from .kernel import fits, gram, parts
 from .normalize import NormalizeConfig, apply_chain, l2_normalize, rn_fit
 from .types import (
     AggregateVector,
@@ -55,16 +55,19 @@ def cmd_train_codebook(args) -> int:
 
 def _aggregate_one(embedded: EmbeddedSet, args) -> tuple[AggregateVector, WeightVector]:
     """Pool ``embedded`` by ``args.method``. Democratic weights are scaled one
-    part of the kernel at a time (``kernel.parts``): the scaling never mixes
-    blocks, so they equal the whole kernel's weights bit for bit, while only
-    one part's Gram and its clipped copy are alive. GMP builds no Gram."""
+    part at a time (``kernel.parts``), since the scaling never mixes blocks.
+    A part of small cells is scaled from its Gram, which fits the part budget,
+    and gets the whole kernel's weights bit for bit; only that Gram and its
+    clipped copy are alive. A cell over the budget is scaled from its rows
+    without a Gram, equal to the kernel's weights up to rounding. GMP builds
+    no Gram."""
     if args.method == "sum":
         return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform")
     if args.method == "democratic":
         cfg = DemocraticConfig(gamma=args.gamma, n_iter=args.iters)
         alpha = np.empty(embedded.n)
         for idx, part in parts(embedded):
-            alpha[idx] = sinkhorn_weights(gram(part), cfg).alpha
+            alpha[idx] = sinkhorn_weights(gram(part) if fits(part) else part, cfg).alpha
         weights = WeightVector(alpha, "democratic")
         return aggregate_democratic(embedded, weights), weights
     weights = gmp_weights(embedded, GmpConfig(lam=args.lam))
@@ -123,22 +126,12 @@ def _load_normalized(path: str) -> AggregateVector:
 def cmd_eval(args) -> int:
     index_entries = retrieval.read_manifest(args.index)
     query_entries = retrieval.read_manifest(args.queries)
-    if not query_entries:
-        raise ValueError("no queries to evaluate")
     truth = retrieval.read_ground_truth(args.truth)
 
     index = [(item_id, _load_normalized(path)) for item_id, path in index_entries]
     queries = [(qid, _load_normalized(path)) for qid, path in query_entries]
-
-    aps = [
-        retrieval.average_precision(
-            [item_id for item_id, _ in retrieval.rank(vec, index)],
-            truth.relevant.get(qid, frozenset()),
-            truth.junk.get(qid, frozenset()),
-            exclude_id=qid if args.exclude_self else None,
-        )
-        for qid, vec in queries
-    ]
+    rankings = ((qid, [item_id for item_id, _ in retrieval.rank(vec, index)]) for qid, vec in queries)
+    aps = retrieval.query_average_precisions(rankings, truth, args.exclude_self)
     for (qid, _), ap in zip(queries, aps):
         print(f"{qid}\t{ap:.6f}")
     print(f"mAP\t{float(np.mean(aps)):.6f}")

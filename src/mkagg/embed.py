@@ -20,9 +20,17 @@ from .types import Codebook, DescriptorSet, EmbeddedSet
 
 EMBEDDING_KINDS = ("bow", "residual")
 
-# Bytes that one chunk of centroid scores (rows x c float64) may take. A
-# fixed bound on the assignment's working memory, not a setting.
+# Bytes that one chunk of per-row float64 temporaries may take: centroid
+# scores (rows x c), or rows of points, differences and residuals (rows x d).
+# A fixed bound on the working memory of assignment, seeding, Lloyd steps and
+# embedding, not a setting.
 _ASSIGN_BUDGET = 4 * 2**20
+
+
+def _row_chunks(n: int, width: int) -> list[slice]:
+    """Slices of ``range(n)`` whose rows x ``width`` float64 temporaries fit the budget."""
+    step = max(1, _ASSIGN_BUDGET // (8 * width))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -41,11 +49,10 @@ def _direct_argmin(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # the lowest index on ties. It defines the assignment, but it only runs
     # on the rows that the GEMM pass of _nearest_centroids cannot settle.
     c, d = centroids.shape
-    step = max(1, _ASSIGN_BUDGET // (8 * c * d))
     out = np.empty(points.shape[0], dtype=np.int64)
-    for start in range(0, points.shape[0], step):
-        diff = points[start : start + step, None, :] - centroids[None, :, :]
-        out[start : start + step] = np.argmin(np.einsum("ncd,ncd->nc", diff, diff), axis=1)
+    for rows in _row_chunks(points.shape[0], c * d):
+        diff = points[rows, None, :] - centroids[None, :, :]
+        out[rows] = np.argmin(np.einsum("ncd,ncd->nc", diff, diff), axis=1)
     return out
 
 
@@ -77,7 +84,8 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     of 2^-1074 each, 5d of them in g - e, covered by the d 2^-1070 term. A
     row with one candidate thus has the direct form's lowest-index argmin;
     rows with more, or whose scores could overflow, take the direct form.
-    Rows are chunked so that the scores stay within ``_ASSIGN_BUDGET``.
+    Rows are chunked so that the scores, and the float64 copy of a chunk of
+    float32 points, stay within ``_ASSIGN_BUDGET``.
     """
     c, d = centroids.shape
     c_sq = np.einsum("kd,kd->k", centroids, centroids)
@@ -86,10 +94,9 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     tol_floor = d * 2.0**-1070
     # Every partial result of g stays below 4 M_i, so below this no score overflows.
     scale_limit = np.finfo(np.float64).max / 4.0
-    step = max(1, _ASSIGN_BUDGET // (8 * c))
     out = np.empty(points.shape[0], dtype=np.int64)
-    for start in range(0, points.shape[0], step):
-        x = points[start : start + step]
+    for rows in _row_chunks(points.shape[0], max(c, d)):
+        x = np.asarray(points[rows], dtype=np.float64)
         x_sq = np.einsum("nd,nd->n", x, x)
         scores = x @ centroids.T
         scores *= -2.0
@@ -104,7 +111,7 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         )
         if ambiguous.size:
             best[ambiguous] = _direct_argmin(x[ambiguous], centroids)
-        out[start : start + step] = best
+        out[rows] = best
     return out
 
 
@@ -125,7 +132,10 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    chunks = _row_chunks(n, points.shape[1])
+    d2 = np.empty(n)
+    for rows in chunks:
+        d2[rows] = np.sum((points[rows] - centers[0]) ** 2, axis=1)
     for j in range(1, c):
         total = d2.sum()
         if total > 0:
@@ -134,7 +144,8 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         else:
             choice = rng.integers(n)
         centers[j] = points[choice]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        for rows in chunks:
+            np.minimum(d2[rows], np.sum((points[rows] - centers[j]) ** 2, axis=1), out=d2[rows])
     return centers
 
 
@@ -142,9 +153,10 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
     """Lloyd's k-means with k-means++ seeding; deterministic for a fixed seed.
 
     Clusters that empty out are re-seeded from the point currently farthest
-    from its assigned centroid. Each iteration's assignment works in chunks
-    under a fixed byte budget, so its memory is bounded whatever the number
-    of points and clusters.
+    from its assigned centroid. The seeding and each iteration's assignment
+    and distances work in chunks of rows under a fixed byte budget, so their
+    memory beside the points is bounded whatever the number of points and
+    clusters.
     """
     if c < 1:
         raise ValueError("cluster count must be >= 1")
@@ -160,8 +172,10 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
     assignment = np.full(training.n, -1, dtype=np.int64)
     for _ in range(max_iters):
         new_assignment = _nearest_centroids(points, centers)
-        diff = points - centers[new_assignment]
-        point_d2 = np.einsum("nd,nd->n", diff, diff)
+        point_d2 = np.empty(training.n)
+        for rows in _row_chunks(training.n, training.d):
+            diff = points[rows] - centers[new_assignment[rows]]
+            point_d2[rows] = np.einsum("nd,nd->n", diff, diff)
         for k in range(c):
             members = new_assignment == k
             if np.any(members):
@@ -187,20 +201,25 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
             f"descriptor dimension {descriptors.d} does not match codebook dimension {codebook.d}"
         )
 
-    points = descriptors.data.astype(np.float64)
-    assignment = _nearest_centroids(points, codebook.centroids)
+    # Residuals go straight into the rows in chunks, so no whole-set
+    # temporary (a float64 copy of the points, the centroid gather, the
+    # squares of the norms) is ever allocated beside them.
+    assignment = _nearest_centroids(descriptors.data, codebook.centroids)
     n, c = descriptors.n, codebook.c
 
     if cfg.kind == "bow":
         return EmbeddedSet._trusted(np.ones((n, 1)), assignment, c, unit_columns=True)
 
-    residuals = points - codebook.centroids[assignment]
-    norms = np.linalg.norm(residuals, axis=1)
-    unit = False
-    if cfg.normalize_residuals:
-        nonzero = norms > 0.0
-        # A descriptor sitting exactly on its centroid keeps a zero column;
-        # normalizing it is undefined.
-        residuals[nonzero] /= norms[nonzero, None]
-        unit = bool(np.all(nonzero))
-    return EmbeddedSet._trusted(residuals, assignment, c, unit_columns=unit)
+    rows = np.empty((n, descriptors.d))
+    unit = cfg.normalize_residuals
+    for part in _row_chunks(n, descriptors.d):
+        res = rows[part]
+        np.subtract(descriptors.data[part], codebook.centroids[assignment[part]], out=res)
+        if cfg.normalize_residuals:
+            norms = np.linalg.norm(res, axis=1)
+            # A descriptor sitting exactly on its centroid keeps a zero row;
+            # normalizing it is undefined.
+            nonzero = norms > 0.0
+            np.divide(res, norms[:, None], out=res, where=nonzero[:, None])
+            unit = unit and bool(np.all(nonzero))
+    return EmbeddedSet._trusted(rows, assignment, c, unit_columns=unit)

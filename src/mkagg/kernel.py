@@ -32,18 +32,24 @@ def gram(embedded: EmbeddedSet) -> KernelMatrix:
     return KernelMatrix._trusted(embedded.n, blocks)
 
 
+def fits(embedded: EmbeddedSet) -> bool:
+    """Whether the Gram blocks of ``embedded`` (8 n_k^2 bytes per cell) fit ``_PART_BUDGET``."""
+    counts = np.bincount(embedded.assignment).astype(np.int64)
+    return int(8 * np.sum(counts**2)) <= _PART_BUDGET
+
+
 def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedSet]]:
     """Split the descriptors into parts whose Gram blocks fit ``_PART_BUDGET``.
 
     Cells are packed greedily in cell order: a cell joins the current part
     unless its block would take the part over the budget, so a cell larger
-    than the budget is a part of its own. Yields (ascending descriptor
-    indices, the part's embedded set). A kernel that fits whole is one part,
+    than the budget is a part of its own, and it is the only kind of part
+    that does not ``fit``. Yields (ascending descriptor indices, the part's
+    embedded set). A kernel that fits whole is one part,
     ``(slice(None), embedded)``, with no gather. A weighting that treats each
     block on its own can then hold one part's Gram at a time.
     """
-    cells = [idx for _, idx in embedded.cells()]
-    if sum(8 * idx.size**2 for idx in cells) <= _PART_BUDGET:
+    if fits(embedded):
         yield slice(None), embedded
         return
 
@@ -54,7 +60,7 @@ def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedS
 
     group: list[np.ndarray] = []
     used = 0
-    for idx in cells:
+    for _, idx in embedded.cells():
         size = 8 * idx.size**2
         if group and used + size > _PART_BUDGET:
             yield gather(group)
@@ -64,33 +70,6 @@ def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedS
     yield gather(group)
 
 
-def _map_blocks(kern: KernelMatrix, fn) -> KernelMatrix:
-    # ``fn`` maps a symmetric block to a new symmetric block of the same
-    # shape, so the result keeps every invariant of the input kernel.
-    return KernelMatrix._trusted(kern.n, ((b.indices, fn(b.values)) for b in kern.blocks))
-
-
 def clip_negatives(kern: KernelMatrix) -> KernelMatrix:
     """Replace every negative entry by 0 (the usual Sinkhorn pre-processing)."""
-    return _map_blocks(kern, lambda m: np.maximum(m, 0.0))
-
-
-def threshold_sparsify(kern: KernelMatrix, tau: float) -> KernelMatrix:
-    """Zero out off-diagonal entries smaller than ``tau``.
-
-    The diagonal is exempt: removing self-similarities would break both
-    weight solvers. ``tau = 0`` is a no-op.
-    """
-    if tau < 0.0:
-        raise ValueError("threshold must be >= 0")
-    if tau == 0.0:
-        return kern
-
-    def apply(mat: np.ndarray) -> np.ndarray:
-        out = mat.copy()
-        mask = out < tau
-        np.fill_diagonal(mask, False)
-        out[mask] = 0.0
-        return out
-
-    return _map_blocks(kern, apply)
+    return KernelMatrix._trusted(kern.n, ((b.indices, np.maximum(b.values, 0.0)) for b in kern.blocks))

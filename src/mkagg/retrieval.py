@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,20 +74,31 @@ def average_precision(
     return total / len(effective)
 
 
+def query_average_precisions(
+    rankings: Iterable[tuple[str, Sequence[str]]], truth: GroundTruth, exclude_self: bool = False
+) -> list[float]:
+    """AP of each (query id, ranked ids) pair, in order: junk removed, and the
+    query's own id too with ``exclude_self``. ``rankings`` may be a generator,
+    so each ranking is made only when its AP is taken."""
+    aps = [
+        average_precision(
+            ranked,
+            truth.relevant.get(qid, frozenset()),
+            truth.junk.get(qid, frozenset()),
+            exclude_id=qid if exclude_self else None,
+        )
+        for qid, ranked in rankings
+    ]
+    if not aps:
+        raise ValueError("no queries to evaluate")
+    return aps
+
+
 def mean_average_precision(
     rankings: Mapping[str, Sequence[str]], truth: GroundTruth, exclude_self: bool = False
 ) -> float:
-    """Mean of per-query APs, junk removed, optionally dropping the query id."""
-    if not rankings:
-        raise ValueError("no queries to evaluate")
-    aps = []
-    for qid, ranked in rankings.items():
-        rel = truth.relevant.get(qid, frozenset())
-        junk = truth.junk.get(qid, frozenset())
-        aps.append(
-            average_precision(ranked, rel, junk, exclude_id=qid if exclude_self else None)
-        )
-    return float(np.mean(aps))
+    """Mean of the per-query APs of ``query_average_precisions``."""
+    return float(np.mean(query_average_precisions(rankings.items(), truth, exclude_self)))
 
 
 def export_weights(

@@ -344,12 +344,6 @@ class KernelMatrix:
             out[b.indices] = b.values @ v[b.indices]
         return out
 
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for b in self.blocks:
-            out[b.indices] = np.diag(b.values)
-        return out
-
     def abs_row_sums(self) -> np.ndarray:
         out = np.zeros(self.n)
         for b in self.blocks:

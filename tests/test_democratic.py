@@ -261,6 +261,7 @@ class TestPerPartWeights:
         emb, budget = case
         with mock.patch.object(kernel, "_PART_BUDGET", budget):
             got = list(kernel.parts(emb))
+            fit = [kernel.fits(part) for _, part in got]
             _, weights = cli._aggregate_one(emb, _aggregate_args("democratic", "--gamma", str(gamma)))
         if sum(_block_bytes(emb)) <= budget:
             assert len(got) == 1 and got[0][0] == slice(None) and got[0][1] is emb
@@ -277,8 +278,16 @@ class TestPerPartWeights:
                     assert sum(sizes) <= budget
                 if k + 1 < len(got):  # greedy: the next part's first cell did not fit
                     assert sum(sizes) + _block_bytes(got[k + 1][1])[0] > budget
+                # Only a part of one cell over the budget does not fit.
+                assert fit[k] == (sum(sizes) <= budget)
+        packed = np.zeros(emb.n, dtype=bool)
+        for (idx, _), fits in zip(got, fit):
+            packed[idx] = fits
         want = sinkhorn_weights(gram(emb), DemocraticConfig(gamma=gamma)).alpha
-        np.testing.assert_array_equal(weights.alpha, want)
+        # Packed parts are scaled from their Gram, bit for bit; a cell over the
+        # budget from its rows, up to rounding (TestRowsPath pins that side).
+        np.testing.assert_array_equal(weights.alpha[packed], want[packed])
+        np.testing.assert_allclose(weights.alpha[~packed], want[~packed], rtol=1e-12, atol=0)
 
     def test_cli_writes_the_whole_kernel_aggregate(self, tmp_path):
         """Cells of 1000 (8 MB block, over the budget), 300, 50 and 20."""

@@ -326,6 +326,18 @@ class TestAssignmentMemory:
         peak = _traced_peak_mb(lambda: embed_set(descriptors, codebook, EmbeddingConfig()))
         assert peak < 64.0
 
+    @pytest.mark.parametrize("c", [16, 256])
+    def test_embed_set_peak_is_rows_plus_a_chunk(self, c):
+        """n=20k, d=128: the rows take 20 MB, and every other temporary (the
+        float64 points, the centroid gather, the scores) is one chunk under
+        the budget at a time."""
+        rng = np.random.default_rng(12)
+        descriptors = DescriptorSet(rng.normal(size=(20_000, 128)).astype(np.float32))
+        codebook = Codebook(rng.normal(size=(c, 128)))
+        rows_mb = 20_000 * 128 * 8 / 2**20
+        peak = _traced_peak_mb(lambda: embed_set(descriptors, codebook, EmbeddingConfig()))
+        assert peak < rows_mb + 2 * embed._ASSIGN_BUDGET / 2**20
+
     def test_train_codebook_peak_flat_in_c(self):
         rng = np.random.default_rng(10)
         training = DescriptorSet(rng.normal(size=(8_000, 128)).astype(np.float32))

@@ -1,10 +1,10 @@
-"""Gram matrix construction, clipping and thresholding."""
+"""Gram matrix construction and clipping."""
 
 import numpy as np
 import pytest
 
 from mkagg.embed import EmbeddingConfig, embed_set
-from mkagg.kernel import clip_negatives, gram, threshold_sparsify
+from mkagg.kernel import clip_negatives, gram
 from mkagg.types import Codebook, DescriptorSet, EmbeddedSet, KernelMatrix
 
 
@@ -57,7 +57,7 @@ class TestGram:
     def test_unit_diagonal_for_unit_columns(self):
         emb = _random_residual(1)
         assert emb.unit_columns
-        np.testing.assert_allclose(gram(emb).diagonal(), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.diag(gram(emb).to_dense()), 1.0, atol=1e-6)
 
 
 class TestClipNegatives:
@@ -86,44 +86,3 @@ class TestClipNegatives:
             clipped.to_dense(), np.maximum(gram(emb).to_dense(), 0.0)
         )
 
-
-class TestThresholdSparsify:
-    def test_typical_threshold(self):
-        kern = KernelMatrix.from_dense(np.array([[1.0, 0.05], [0.05, 1.0]]))
-        np.testing.assert_array_equal(threshold_sparsify(kern, 0.1).to_dense(), np.eye(2))
-
-    def test_zero_tau_is_noop(self):
-        mat = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        kern = KernelMatrix.from_dense(mat)
-        np.testing.assert_array_equal(threshold_sparsify(kern, 0.0).to_dense(), mat)
-
-    def test_diagonal_exempt(self):
-        kern = KernelMatrix.from_dense(np.array([[0.01, 0.5], [0.5, 0.01]]))
-        out = threshold_sparsify(kern, 0.1).to_dense()
-        np.testing.assert_array_equal(out, [[0.01, 0.5], [0.5, 0.01]])
-
-    def test_nnz_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(9)
-        raw = rng.uniform(-1, 1, size=(20, 20))
-        mat = (raw + raw.T) / 2
-        kern = KernelMatrix.from_dense(mat)
-        tau = 0.2
-        out = threshold_sparsify(kern, tau).to_dense()
-        oracle = mat.copy()
-        mask = oracle < tau
-        np.fill_diagonal(mask, False)
-        oracle[mask] = 0.0
-        np.testing.assert_array_equal(out, oracle)
-        assert np.count_nonzero(out) == np.count_nonzero(oracle)
-
-    def test_negative_tau_rejected(self):
-        kern = KernelMatrix.from_dense(np.eye(2))
-        with pytest.raises(ValueError, match=">= 0"):
-            threshold_sparsify(kern, -0.1)
-
-    def test_symmetry_preserved(self):
-        rng = np.random.default_rng(10)
-        raw = rng.uniform(-1, 1, size=(15, 15))
-        mat = (raw + raw.T) / 2
-        out = threshold_sparsify(KernelMatrix.from_dense(mat), 0.3).to_dense()
-        np.testing.assert_array_equal(out, out.T)
