@@ -7,7 +7,7 @@ max pooling), aggregate, normalize, and evaluate retrieval quality.
 """
 
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
-from .embed import EmbeddingConfig, assign_hard, embed_set, train_codebook
+from .embed import EmbeddingConfig, embed_set, train_codebook
 from .gmp import GmpConfig, aggregate_gmp, gmp_weights
 from .kernel import clip_negatives, gram
 from .matio import (
@@ -35,7 +35,6 @@ from .retrieval import (
     rank,
     read_ground_truth,
     read_manifest,
-    write_ground_truth,
 )
 from .types import (
     AggregateVector,
@@ -86,7 +85,6 @@ __all__ = [
     "aggregate_gmp",
     "aggregate_sum",
     "apply_chain",
-    "assign_hard",
     "average_precision",
     "clip_negatives",
     "embed_set",
@@ -105,6 +103,5 @@ __all__ = [
     "similarity",
     "sinkhorn_weights",
     "train_codebook",
-    "write_ground_truth",
     "write_matrix_file",
 ]

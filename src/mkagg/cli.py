@@ -58,9 +58,10 @@ def _aggregate_one(embedded: EmbeddedSet, args) -> tuple[AggregateVector, Weight
     part at a time (``kernel.parts``), since the scaling never mixes blocks.
     A part of small cells is scaled from its Gram, which fits the part budget,
     and gets the whole kernel's weights bit for bit; only that Gram and its
-    clipped copy are alive. A cell over the budget is scaled from its rows
-    without a Gram, equal to the kernel's weights up to rounding. GMP builds
-    no Gram."""
+    clipped copy are alive. A cell over the budget is scaled from its rows,
+    equal to the kernel's weights up to rounding: a mostly-core cell (a burst)
+    without a Gram, but a mostly-outer one from its full n_k^2 clipped Gram
+    (ROADMAP item 1). GMP builds no Gram."""
     if args.method == "sum":
         return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform")
     if args.method == "democratic":

@@ -13,8 +13,10 @@ loop is effectively an independent scaling run per block. Every step but the
 per-block matvec is elementwise, so scaling any kernel built from a subset
 of whole blocks gives those blocks' weights bit for bit.
 
-A block is applied from the kernel, or from the rows R of its cell in the
-embedded set without forming R R^T. Clipping makes the block
+Both sources yield every block as (its descriptor indices, v -> block @ v,
+its nonzero rows), so one loop body and one zero-row rule serve both. A
+kernel block is applied from its (clipped) values, and a cell of the
+embedded set from its rows R, without forming R R^T. Clipping makes the block
 K+ = R R^T + N with N = max(-R R^T, 0), so K+ v = R (R^T v) + N v. N is
 nonzero only at pairs that include an "outer" row: a row is core when its
 angle to the cell's mean direction u is below pi/4, so two core rows are
@@ -27,7 +29,8 @@ clipped Gram block, which is then no larger and cheaper to build.
 The command line scales the kernel one part at a time (``kernel.parts``):
 cells whose Gram blocks fit a budget are packed into parts and scaled from
 each part's Gram; a cell over the budget is a part of its own and is scaled
-from its rows.
+from its rows, or from its whole clipped Gram block when its rows are mostly
+outer.
 """
 
 from __future__ import annotations
@@ -94,6 +97,26 @@ def _clipped_rows_matvec(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return matvec
 
 
+def _blocks(
+    source: KernelMatrix | EmbeddedSet, clip: bool
+) -> list[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]:
+    """Every diagonal block of the (clipped) kernel of ``source`` as (ascending
+    descriptor indices, v -> block @ v, which of its rows are nonzero)."""
+    if not isinstance(source, EmbeddedSet):
+        work = kernel_mod.clip_negatives(source) if clip else source
+        return [(b.indices, b.values.__matmul__, b.values.any(axis=1)) for b in work.blocks]
+    if source.n == 0:
+        raise ValueError("cannot compute weights for an empty set")
+    blocks = []
+    for _, idx in source.cells():
+        # A set of one cell (a part over the budget) is used without a gather.
+        rows = source.rows if idx.size == source.n else source.rows[idx]
+        matvec = _clipped_rows_matvec(rows) if clip else (lambda v, r=rows: r @ (r.T @ v))
+        # A zero row is the only structurally zero row of R R^T, clipped or not.
+        blocks.append((idx, matvec, rows.any(axis=1)))
+    return blocks
+
+
 def sinkhorn_weights(
     source: KernelMatrix | EmbeddedSet, cfg: DemocraticConfig = DemocraticConfig()
 ) -> WeightVector:
@@ -107,37 +130,18 @@ def sinkhorn_weights(
     nonpositive row sum aborts with ScalingError. A structurally zero row (an
     isolated all-zero embedding) keeps weight 1 and is skipped by the updates.
     """
-    if isinstance(source, EmbeddedSet):
-        if source.n == 0:
-            raise ValueError("cannot compute weights for an empty set")
-        n = source.n
-        cells = []
-        for _, idx in source.cells():
-            # A set of one cell (a part over the budget) is used without a gather.
-            rows = source.rows if idx.size == n else source.rows[idx]
-            if cfg.clip:
-                cells.append((idx, _clipped_rows_matvec(rows)))
-            else:
-                cells.append((idx, lambda v, r=rows: r @ (r.T @ v)))
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(n)
-            for idx, cell_matvec in cells:
-                out[idx] = cell_matvec(v[idx])
-            return out
-
-        # A zero row is the only structurally zero row of R R^T.
-        active = np.any(source.rows, axis=1)
-    else:
-        work = kernel_mod.clip_negatives(source) if cfg.clip else source
-        n, matvec = work.n, work.matvec
-        # A clipped kernel is nonnegative, so its plain row sums find the zero
-        # rows without an |K| temporary per block.
-        active = (work.matvec(np.ones(n)) if cfg.clip else work.abs_row_sums()) > 0.0
+    blocks = _blocks(source, cfg.clip)
+    n = source.n
+    active = np.zeros(n, dtype=bool)
+    for idx, _, nonzero in blocks:
+        active[idx] = nonzero
 
     alpha = np.ones(n)
     for _ in range(cfg.n_iter):
-        sigma = alpha * matvec(alpha)
+        k_alpha = np.zeros(n)
+        for idx, matvec, _ in blocks:
+            k_alpha[idx] = matvec(alpha[idx])
+        sigma = alpha * k_alpha
         shares = sigma[active]
         if np.any(shares <= 0.0):
             raise ScalingError(

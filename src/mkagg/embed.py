@@ -115,19 +115,6 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def assign_hard(x: np.ndarray, codebook: Codebook) -> int:
-    """Index of the closest centroid by squared Euclidean distance.
-
-    Ties are broken toward the lowest centroid index.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("descriptor must be finite")
-    if x.shape[0] != codebook.d:
-        raise ValueError(f"descriptor has dimension {x.shape[0]}, codebook expects {codebook.d}")
-    return int(_nearest_centroids(x[None, :], codebook.centroids)[0])
-
-
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]))
@@ -208,10 +195,9 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
     n, c = descriptors.n, codebook.c
 
     if cfg.kind == "bow":
-        return EmbeddedSet._trusted(np.ones((n, 1)), assignment, c, unit_columns=True)
+        return EmbeddedSet._trusted(np.ones((n, 1)), assignment, c)
 
     rows = np.empty((n, descriptors.d))
-    unit = cfg.normalize_residuals
     for part in _row_chunks(n, descriptors.d):
         res = rows[part]
         np.subtract(descriptors.data[part], codebook.centroids[assignment[part]], out=res)
@@ -221,5 +207,4 @@ def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConf
             # normalizing it is undefined.
             nonzero = norms > 0.0
             np.divide(res, norms[:, None], out=res, where=nonzero[:, None])
-            unit = unit and bool(np.all(nonzero))
-    return EmbeddedSet._trusted(rows, assignment, c, unit_columns=unit)
+    return EmbeddedSet._trusted(rows, assignment, c)

@@ -56,7 +56,7 @@ def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedS
     def gather(group: list[np.ndarray]) -> tuple[np.ndarray, EmbeddedSet]:
         idx = np.sort(np.concatenate(group))
         rows, assignment = embedded.rows[idx], embedded.assignment[idx]
-        return idx, EmbeddedSet._trusted(rows, assignment, embedded.c, embedded.unit_columns)
+        return idx, EmbeddedSet._trusted(rows, assignment, embedded.c)
 
     group: list[np.ndarray] = []
     used = 0

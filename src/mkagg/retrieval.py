@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matio import write_text_file
 from .normalize import similarity
 from .types import AggregateVector, DataFormatError, EmbeddedSet, WeightVector
 
@@ -101,26 +100,14 @@ def mean_average_precision(
     return float(np.mean(query_average_precisions(rankings.items(), truth, exclude_self)))
 
 
-def export_weights(
-    embedded: EmbeddedSet,
-    weights: WeightVector,
-    positions: Sequence[tuple[float, float]] | None = None,
-) -> str:
+def export_weights(embedded: EmbeddedSet, weights: WeightVector) -> str:
     """Per-descriptor TSV: index, weight, and contribution a_i * (K a)_i, read
     as a_i times the match phi_i . xi to the aggregate xi, so K is never built.
-    ``positions`` optionally appends x/y columns for plotting weights.
     """
-    n = embedded.n
-    if positions is not None and len(positions) != n:
-        raise ValueError(f"got {len(positions)} positions for {n} descriptors")
-
     contributions = weights.alpha * embedded.matches(embedded.pool(weights.alpha))
-    lines = ["idx\tweight\tcontribution" + ("\tx\ty" if positions is not None else "")]
-    for i in range(n):
-        row = f"{i}\t{weights.alpha[i]:.12g}\t{contributions[i]:.12g}"
-        if positions is not None:
-            row += f"\t{positions[i][0]:.12g}\t{positions[i][1]:.12g}"
-        lines.append(row)
+    lines = ["idx\tweight\tcontribution"]
+    for i in range(embedded.n):
+        lines.append(f"{i}\t{weights.alpha[i]:.12g}\t{contributions[i]:.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -147,16 +134,6 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
         relevant={q: frozenset(s) for q, s in relevant.items()},
         junk={q: frozenset(s) for q, s in junk.items()},
     )
-
-
-def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    lines = [
-        f"{qid}\t{tag}\t{item}\n"
-        for tag, table in (("rel", truth.relevant), ("junk", truth.junk))
-        for qid in sorted(table)
-        for item in sorted(table[qid])
-    ]
-    write_text_file(path, "".join(lines))
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:

@@ -140,14 +140,15 @@ class EmbeddedSet:
     descriptor), optionally with ``assignment`` and a ``block_layout`` of c
     half-open row ranges that must tile D in order with equal widths, checks
     that every column is zero outside its block and keeps only the rows.
-    The ``phi`` property materializes the dense matrix again, for tests and
-    reference implementations; the pipeline never reads it.
+    ``unit_columns=True`` also checks that every column has norm 1; the
+    declaration is checked, not stored. The ``phi`` property materializes the
+    dense matrix again, for tests and reference implementations; the pipeline
+    never reads it.
     """
 
     rows: np.ndarray
     assignment: np.ndarray
     c: int
-    unit_columns: bool
 
     def __init__(
         self,
@@ -193,16 +194,13 @@ class EmbeddedSet:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "unit_columns", bool(unit_columns))
 
     @classmethod
-    def _trusted(
-        cls, rows: np.ndarray, assignment: np.ndarray, c: int, unit_columns: bool
-    ) -> "EmbeddedSet":
+    def _trusted(cls, rows: np.ndarray, assignment: np.ndarray, c: int) -> "EmbeddedSet":
         """Wrap parts that already hold every invariant: ``rows`` a finite
-        C-contiguous float64 n x w array, ``assignment`` int64 in [0, c), and
-        ``unit_columns`` true only for rows of norm 1. Checks nothing."""
-        return _unchecked(cls, rows=rows, assignment=assignment, c=c, unit_columns=unit_columns)
+        C-contiguous float64 n x w array and ``assignment`` int64 in [0, c).
+        Checks nothing."""
+        return _unchecked(cls, rows=rows, assignment=assignment, c=c)
 
     @property
     def n(self) -> int:
@@ -215,11 +213,6 @@ class EmbeddedSet:
     @property
     def dim(self) -> int:
         return self.c * self.width
-
-    @property
-    def block_layout(self) -> tuple[tuple[int, int], ...]:
-        w = self.width
-        return tuple((k * w, (k + 1) * w) for k in range(self.c))
 
     @property
     def phi(self) -> np.ndarray:
@@ -318,10 +311,6 @@ class KernelMatrix:
         return cls(n=n, blocks=(KernelBlock(indices=np.arange(n), values=mat),))
 
     @classmethod
-    def from_blocks(cls, blocks: tuple[KernelBlock, ...], n: int) -> "KernelMatrix":
-        return cls(n=n, blocks=tuple(blocks))
-
-    @classmethod
     def _trusted(cls, n: int, blocks) -> "KernelMatrix":
         """Wrap (indices, values) pairs that already hold every invariant:
         ascending int64 indices partitioning range(n), finite float64 values
@@ -342,12 +331,6 @@ class KernelMatrix:
         out = np.zeros(self.n)
         for b in self.blocks:
             out[b.indices] = b.values @ v[b.indices]
-        return out
-
-    def abs_row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for b in self.blocks:
-            out[b.indices] = np.abs(b.values).sum(axis=1)
         return out
 
 

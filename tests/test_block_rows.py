@@ -62,14 +62,14 @@ def test_public_constructor_round_trips_phi(case):
     assert np.array_equal(emb.phi, phi)
     assert np.array_equal(emb.rows, rows)
     assert np.array_equal(emb.assignment, assignment)
-    assert emb.block_layout == layout and (emb.dim, emb.n) == phi.shape
+    assert (emb.c, emb.width) == (len(layout), layout[0][1]) and (emb.dim, emb.n) == phi.shape
 
 
 @PROPERTY
 @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(0, 24)), elements=st.floats(-1.0, 1.0)))
 def test_dense_set_is_one_block(phi):
     emb = EmbeddedSet(phi=phi)
-    assert emb.c == 1 and emb.block_layout == ((0, phi.shape[0]),)
+    assert (emb.c, emb.width) == (1, phi.shape[0])
     assert np.array_equal(emb.rows, phi.T)
     assert np.array_equal(emb.phi, phi)
 
@@ -83,9 +83,10 @@ def test_embed_set_output_passes_public_checks(n, c, d, seed, bow):
     points[: n // 3] = centroids[rng.integers(0, c, size=n // 3)]  # zero residuals
     cfg = EmbeddingConfig("bow" if bow else "residual")
     emb = embed_set(DescriptorSet(points.astype(np.float32)), Codebook(centroids), cfg)
+    layout = tuple((k * emb.width, (k + 1) * emb.width) for k in range(c))
+    # Only the zero residuals forced above fall short of norm 1.
     again = EmbeddedSet(
-        phi=emb.phi, assignment=emb.assignment, block_layout=emb.block_layout,
-        unit_columns=emb.unit_columns,
+        phi=emb.phi, assignment=emb.assignment, block_layout=layout, unit_columns=bow or n < 3
     )
     assert np.array_equal(again.rows, emb.rows)
 

@@ -1,4 +1,4 @@
-"""Codebook training, hard assignment, and the two embeddings."""
+"""Codebook training, hard assignment (through ``embed_set``), and the two embeddings."""
 
 import tracemalloc
 
@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import assign_direct, lloyd_direct
 
 from mkagg import embed
-from mkagg.embed import EmbeddingConfig, assign_hard, embed_set, train_codebook
+from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
 from mkagg.types import Codebook, DescriptorSet
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -108,27 +108,31 @@ class TestTrainCodebook:
             ) + 1e-9
 
 
+def _assign(points, cb: Codebook) -> np.ndarray:
+    """The hard assignment of each row of ``points``, as ``embed_set`` makes it."""
+    return embed_set(DescriptorSet(np.atleast_2d(points)), cb, EmbeddingConfig("bow")).assignment
+
+
 class TestAssignHard:
     def test_exact_centroid_match(self):
         cb = Codebook(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        assert assign_hard(np.array([2.0, 0.0]), cb) == 2
+        assert _assign([2.0, 0.0], cb)[0] == 2
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(np.array([[0.0], [1.0]]))
-        assert assign_hard(np.array([0.5]), cb) == 0
+        assert _assign([0.5], cb)[0] == 0
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(4)
         cb = Codebook(rng.normal(size=(16, 8)))
-        for _ in range(200):
-            x = rng.normal(size=8)
-            d2 = np.sum((cb.centroids - x) ** 2, axis=1)
-            assert assign_hard(x, cb) == int(np.argmin(d2))
+        x = rng.normal(size=(200, 8)).astype(np.float32)
+        d2 = np.sum((cb.centroids[None, :, :] - x[:, None, :].astype(np.float64)) ** 2, axis=2)
+        np.testing.assert_array_equal(_assign(x, cb), np.argmin(d2, axis=1))
 
     def test_dimension_mismatch(self):
         cb = Codebook(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match="dimension"):
-            assign_hard(np.array([1.0]), cb)
+            _assign([1.0], cb)
 
 
 class TestEmbedSet:
@@ -146,8 +150,8 @@ class TestEmbedSet:
         assert np.all(emb.phi.sum(axis=0) == 1.0)
         assert np.all((emb.phi == 0.0) | (emb.phi == 1.0))
         np.testing.assert_array_equal(emb.phi.sum(axis=1), [4.0, 1.0])
-        assert emb.block_layout == ((0, 1), (1, 2))
-        assert emb.unit_columns
+        assert (emb.c, emb.width) == (2, 1)
+        np.testing.assert_array_equal(np.linalg.norm(emb.rows, axis=1), 1.0)
 
     def test_residual_zero_column_at_centroid(self):
         ds = DescriptorSet(np.array([[0.0, 0.0]], dtype=np.float32))
@@ -161,7 +165,7 @@ class TestEmbedSet:
         cb = Codebook(np.array([[0.0, 0.0], [100.0, 100.0]]))
         emb = embed_set(ds, cb, EmbeddingConfig("residual", normalize_residuals=True))
         np.testing.assert_allclose(emb.phi[:, 0], [0.6, 0.8, 0.0, 0.0], atol=1e-12)
-        assert emb.block_layout == ((0, 2), (2, 4))
+        assert (emb.c, emb.width) == (2, 2)
 
     def test_residual_unit_columns_property(self):
         rng = np.random.default_rng(5)
@@ -170,7 +174,7 @@ class TestEmbedSet:
         emb = embed_set(ds, cb, EmbeddingConfig("residual", normalize_residuals=True))
         norms = np.linalg.norm(emb.phi, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-        assert emb.unit_columns
+        np.testing.assert_allclose(np.linalg.norm(emb.rows, axis=1), 1.0, atol=1e-6)
 
     def test_block_sparsity_is_exact(self):
         rng = np.random.default_rng(6)
@@ -178,7 +182,7 @@ class TestEmbedSet:
         cb = Codebook(rng.normal(size=(3, 5)))
         emb = embed_set(ds, cb, EmbeddingConfig("residual"))
         for i in range(emb.n):
-            start, stop = emb.block_layout[emb.assignment[i]]
+            start, stop = emb.assignment[i] * emb.width, (emb.assignment[i] + 1) * emb.width
             col = emb.phi[:, i].copy()
             col[start:stop] = 0.0
             assert np.all(col == 0.0)

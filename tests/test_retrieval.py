@@ -14,7 +14,6 @@ from mkagg.retrieval import (
     rank,
     read_ground_truth,
     read_manifest,
-    write_ground_truth,
 )
 from mkagg.types import (
     AggregateVector,
@@ -123,7 +122,7 @@ class TestGroundTruth:
             junk={"q1": frozenset({"z"})},
         )
         path = tmp_path / "truth.tsv"
-        write_ground_truth(truth, path)
+        path.write_text("q1\trel\ta\nq1\trel\tb\n\nq2\trel\tc\nq1\tjunk\tz\n")
         back = read_ground_truth(path)
         assert back.relevant == truth.relevant
         assert back.junk == truth.junk
@@ -228,15 +227,6 @@ class TestExportWeights:
         text = export_weights(emb, WeightVector(alpha, "gmp"))
         oracle = np.diag(alpha) @ emb.phi.T @ emb.phi @ alpha
         np.testing.assert_allclose(self._contributions(text), oracle, rtol=1e-10)
-
-    def test_positions_columns(self):
-        emb = EmbeddedSet(phi=np.eye(2))
-        text = export_weights(
-            emb, WeightVector(np.ones(2), "uniform"), positions=[(1.0, 2.0), (3.0, 4.0)]
-        )
-        lines = text.strip().split("\n")
-        assert lines[0] == "idx\tweight\tcontribution\tx\ty"
-        assert lines[1].split("\t")[3:] == ["1", "2"]
 
     def test_length_mismatch(self):
         emb = EmbeddedSet(phi=np.eye(2))

@@ -107,7 +107,7 @@ def _shaped_cells(draw):
     if n_cells == 1 and draw(st.booleans()):
         return EmbeddedSet(phi=rows.T), shape
     order = rng.permutation(rows.shape[0])
-    return EmbeddedSet._trusted(rows[order], assignment[order], n_cells + 1, False), shape
+    return EmbeddedSet._trusted(rows[order], assignment[order], n_cells + 1), shape
 
 
 class TestRowsPathProperty:
@@ -128,7 +128,7 @@ class TestRowsPathProperty:
         """Without clipping a cell is R (R^T v) whatever its shape."""
         rng = np.random.default_rng(5)
         rows = np.concatenate([1.0 + 0.01 * rng.normal(size=(30, 4)), np.zeros((2, 4))])
-        emb = EmbeddedSet._trusted(rows, np.repeat([0, 1], 16), 2, False)
+        emb = EmbeddedSet._trusted(rows, np.repeat([0, 1], 16), 2)
         cfg = DemocraticConfig(clip=False)
         got = sinkhorn_weights(emb, cfg).alpha
         want = sinkhorn_weights(gram(emb), cfg).alpha
@@ -136,7 +136,7 @@ class TestRowsPathProperty:
         assert np.all(got[-2:] == 1.0)  # zero rows keep weight 1
 
     def test_empty_set_rejected(self):
-        emb = EmbeddedSet._trusted(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 1, False)
+        emb = EmbeddedSet._trusted(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="empty"):
             sinkhorn_weights(emb)
 
@@ -154,7 +154,7 @@ def _burst_set(sizes, n_scattered, w=128, c=16, seed=0):
     assignment = np.concatenate([np.repeat(np.arange(len(sizes)), sizes),
                                  rng.integers(len(sizes), c, size=n_scattered)])
     order = rng.permutation(rows.shape[0])
-    return EmbeddedSet._trusted(rows[order], assignment[order], c, True)
+    return EmbeddedSet._trusted(rows[order], assignment[order], c)
 
 
 def _aggregate_args(method):

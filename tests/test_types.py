@@ -132,13 +132,13 @@ class TestKernelMatrix:
             if cols.size:
                 sub = phi[k * d : (k + 1) * d][:, cols]
                 blocks.append(KernelBlock(indices=cols, values=sub.T @ sub))
-        kern = KernelMatrix.from_blocks(tuple(blocks), n)
+        kern = KernelMatrix(n=n, blocks=tuple(blocks))
         assert np.max(np.abs(kern.to_dense() - dense)) <= 1e-12
 
     def test_blocks_must_partition(self):
         block = KernelBlock(indices=np.array([0, 2]), values=np.eye(2))
         with pytest.raises(ValueError, match="partition"):
-            KernelMatrix.from_blocks((block,), 4)
+            KernelMatrix(n=4, blocks=(block,))
 
     def test_matvec_block_vs_dense(self):
         rng = np.random.default_rng(3)
@@ -148,14 +148,13 @@ class TestKernelMatrix:
             KernelBlock(indices=np.array([1, 3]), values=b0 + b0.T),
             KernelBlock(indices=np.array([0, 2, 4]), values=b1 + b1.T),
         )
-        kern = KernelMatrix.from_blocks(blocks, 5)
+        kern = KernelMatrix(n=5, blocks=blocks)
         v = rng.normal(size=5)
         np.testing.assert_allclose(kern.matvec(v), kern.to_dense() @ v, atol=1e-12)
 
-    def test_diagonal_and_abs_row_sums(self):
+    def test_dense_diagonal(self):
         kern = KernelMatrix.from_dense(np.array([[2.0, -1.0], [-1.0, 3.0]]))
         np.testing.assert_array_equal(np.diag(kern.to_dense()), [2.0, 3.0])
-        np.testing.assert_array_equal(kern.abs_row_sums(), [3.0, 4.0])
 
 
 class TestWeightVector:
