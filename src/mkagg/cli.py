@@ -6,8 +6,9 @@ A NaN or infinity in the payload of a descriptor, codebook, vector or
 rotation file exits 2: the file is well-formed, but its values fail a
 precondition.
 The argument parser is built once per process and reused by every ``main``
-call. ``--threads`` is accepted for compatibility and ignored: every stage
-runs in the calling thread, with BLAS doing its own threading.
+call. ``--threads`` and ``rn-fit --max-eigvecs`` are accepted for
+compatibility and ignored: every stage runs in the calling thread, with BLAS
+doing its own threading, and every row of a rotation gets the sign rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import matio, retrieval
 from .democratic import DemocraticConfig, aggregate_democratic, aggregate_sum, sinkhorn_weights
 from .embed import EmbeddingConfig, embed_set, train_codebook
 from .gmp import GmpConfig, aggregate_gmp, gmp_weights
-from .kernel import fits, gram, parts
+from .kernel import gram, parts
 from .normalize import NormalizeConfig, apply_chain, l2_normalize, rn_fit
 from .types import (
     AggregateVector,
@@ -55,20 +57,18 @@ def cmd_train_codebook(args) -> int:
 
 def _aggregate_one(embedded: EmbeddedSet, args) -> tuple[AggregateVector, WeightVector]:
     """Pool ``embedded`` by ``args.method``. Democratic weights are scaled one
-    part at a time (``kernel.parts``), since the scaling never mixes blocks.
-    A part of small cells is scaled from its Gram, which fits the part budget,
-    and gets the whole kernel's weights bit for bit; only that Gram and its
-    clipped copy are alive. A cell over the budget is scaled from its rows,
-    equal to the kernel's weights up to rounding: a mostly-core cell (a burst)
-    without a Gram, but a mostly-outer one from its full n_k^2 clipped Gram
-    (ROADMAP item 1). GMP builds no Gram."""
+    ``kernel.parts`` part at a time, since the scaling never mixes blocks: a
+    packed part from its Gram, with the whole kernel's weights bit for bit,
+    and a cell over the budget from its rows, equal up to rounding (a
+    mostly-outer one still from its full n_k^2 clipped Gram, ROADMAP item 1).
+    GMP builds no Gram."""
     if args.method == "sum":
         return aggregate_sum(embedded), WeightVector(np.ones(embedded.n), "uniform")
     if args.method == "democratic":
         cfg = DemocraticConfig(gamma=args.gamma, n_iter=args.iters)
         alpha = np.empty(embedded.n)
-        for idx, part in parts(embedded):
-            alpha[idx] = sinkhorn_weights(gram(part) if fits(part) else part, cfg).alpha
+        for idx, part, packed in parts(embedded):
+            alpha[idx] = sinkhorn_weights(gram(part) if packed else part, cfg).alpha
         weights = WeightVector(alpha, "democratic")
         return aggregate_democratic(embedded, weights), weights
     weights = gmp_weights(embedded, GmpConfig(lam=args.lam))
@@ -106,7 +106,7 @@ def cmd_normalize(args) -> int:
 def cmd_rn_fit(args) -> int:
     entries = retrieval.read_manifest(args.vectors)
     vectors = [AggregateVector(matio.load_vector(path), ("raw",)) for _, path in entries]
-    rotation = rn_fit(vectors, max_eigvecs=args.max_eigvecs)
+    rotation = rn_fit(vectors)
     matio.write_matrix_file(args.output, matio.MAGIC_ROTATION, rotation)
     # n centered vectors span at most n - 1 dimensions.
     principal = min(len(vectors) - 1, rotation.shape[0])
@@ -128,11 +128,23 @@ def cmd_eval(args) -> int:
     index_entries = retrieval.read_manifest(args.index)
     query_entries = retrieval.read_manifest(args.queries)
     truth = retrieval.read_ground_truth(args.truth)
+    # A ranking holds the whole index, so the relevant ids it misses are those
+    # the index lacks; named per query here in place of the AP warning.
+    index_ids = {item_id for item_id, _ in index_entries}
+    for qid, _ in query_entries:
+        relevant = truth.relevant.get(qid, frozenset())
+        if not relevant <= index_ids:
+            missing = relevant - index_ids - ({qid} if args.exclude_self else set())
+            if missing:
+                print(f"mkagg: warning: query {qid!r}: relevant id(s) {sorted(missing)} not in the index",
+                      file=sys.stderr)
 
     index = [(item_id, _load_normalized(path)) for item_id, path in index_entries]
     queries = [(qid, _load_normalized(path)) for qid, path in query_entries]
     rankings = ((qid, [item_id for item_id, _ in retrieval.rank(vec, index)]) for qid, vec in queries)
-    aps = retrieval.query_average_precisions(rankings, truth, args.exclude_self)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"\d+ relevant id\(s\) missing from the ranking", UserWarning)
+        aps = retrieval.query_average_precisions(rankings, truth, args.exclude_self)
     for (qid, _), ap in zip(queries, aps):
         print(f"{qid}\t{ap:.6f}")
     print(f"mAP\t{float(np.mean(aps)):.6f}")
@@ -211,7 +223,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rn-fit", help="learn a PCA rotation from aggregated vectors")
     p.add_argument("--vectors", required=True, help="manifest of id<TAB>vector_file lines")
-    p.add_argument("--max-eigvecs", type=int, required=True)
+    p.add_argument("--max-eigvecs", type=int, help="accepted for compatibility; ignored (every row is signed)")
     p.add_argument("--output", required=True, help="MKRT output path")
     p.set_defaults(func=cmd_rn_fit)
 

@@ -26,11 +26,8 @@ its rows and a few of their matches instead of an n_k x n_k block. A cell
 whose rows are mostly outer (no dominant direction) is applied from its
 clipped Gram block, which is then no larger and cheaper to build.
 
-The command line scales the kernel one part at a time (``kernel.parts``):
-cells whose Gram blocks fit a budget are packed into parts and scaled from
-each part's Gram; a cell over the budget is a part of its own and is scaled
-from its rows, or from its whole clipped Gram block when its rows are mostly
-outer.
+The command line scales the kernel one part at a time, each from its Gram
+or from its rows as ``kernel.parts`` flags it.
 """
 
 from __future__ import annotations

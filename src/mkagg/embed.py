@@ -118,14 +118,13 @@ def _nearest_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
     chunks = _row_chunks(n, points.shape[1])
-    d2 = np.empty(n)
-    for rows in chunks:
-        d2[rows] = np.sum((points[rows] - centers[0]) ** 2, axis=1)
-    for j in range(1, c):
+    # +inf before the first center: its draw is uniform, and its update sets
+    # each point's distance to it.
+    d2 = np.full(n, np.inf)
+    for j in range(c):
         total = d2.sum()
-        if total > 0:
+        if 0.0 < total < np.inf:
             probs = d2 / total
             choice = rng.choice(n, p=probs)
         else:
@@ -141,9 +140,10 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
 
     Clusters that empty out are re-seeded from the point currently farthest
     from its assigned centroid. The seeding and each iteration's assignment
-    and distances work in chunks of rows under a fixed byte budget, so their
-    memory beside the points is bounded whatever the number of points and
-    clusters.
+    and distances work in chunks of rows under a fixed byte budget, but the
+    memory beside the input still grows with the number of points: the
+    points are held as a float64 copy (twice the float32 input), and each
+    cluster's points are gathered to take their mean.
     """
     if c < 1:
         raise ValueError("cluster count must be >= 1")
@@ -176,7 +176,17 @@ def train_codebook(training: DescriptorSet, c: int, seed: int, max_iters: int = 
             break
         assignment = new_assignment
 
-    return Codebook(centroids=centers)
+    try:
+        return Codebook(centroids=centers)
+    except ValueError:
+        # Equal centers are forced when the points have fewer distinct values
+        # than clusters; they are counted only here, off a valid run's path.
+        distinct = np.unique(training.data, axis=0).shape[0]
+        if distinct < c:
+            raise ValueError(
+                f"training set has {distinct} distinct descriptors, fewer than {c} clusters"
+            ) from None
+        raise
 
 
 def embed_set(descriptors: DescriptorSet, codebook: Codebook, cfg: EmbeddingConfig) -> EmbeddedSet:

@@ -32,42 +32,35 @@ def gram(embedded: EmbeddedSet) -> KernelMatrix:
     return KernelMatrix._trusted(embedded.n, blocks)
 
 
-def fits(embedded: EmbeddedSet) -> bool:
-    """Whether the Gram blocks of ``embedded`` (8 n_k^2 bytes per cell) fit ``_PART_BUDGET``."""
-    counts = np.bincount(embedded.assignment).astype(np.int64)
-    return int(8 * np.sum(counts**2)) <= _PART_BUDGET
-
-
-def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedSet]]:
+def parts(embedded: EmbeddedSet) -> Iterator[tuple[slice | np.ndarray, EmbeddedSet, bool]]:
     """Split the descriptors into parts whose Gram blocks fit ``_PART_BUDGET``.
 
     Cells are packed greedily in cell order: a cell joins the current part
-    unless its block would take the part over the budget, so a cell larger
-    than the budget is a part of its own, and it is the only kind of part
-    that does not ``fit``. Yields (ascending descriptor indices, the part's
-    embedded set). A kernel that fits whole is one part,
-    ``(slice(None), embedded)``, with no gather. A weighting that treats each
-    block on its own can then hold one part's Gram at a time.
+    unless its block (8 n_k^2 bytes) would take the part over the budget, so
+    a cell larger than the budget is a part of its own. Yields (ascending
+    descriptor indices, the part's embedded set, whether its Gram blocks fit
+    the budget); only a part of one cell over the budget does not fit, and it
+    is scaled from its rows, every other part from its Gram. A set that is
+    one part, a single cell over the budget included, is yielded whole as
+    ``(slice(None), embedded, fits)``, with no gather. A weighting that
+    treats each block on its own can then hold one part's Gram at a time.
     """
-    if fits(embedded):
-        yield slice(None), embedded
-        return
-
-    def gather(group: list[np.ndarray]) -> tuple[np.ndarray, EmbeddedSet]:
-        idx = np.sort(np.concatenate(group))
-        rows, assignment = embedded.rows[idx], embedded.assignment[idx]
-        return idx, EmbeddedSet._trusted(rows, assignment, embedded.c)
-
-    group: list[np.ndarray] = []
-    used = 0
-    for _, idx in embedded.cells():
-        size = 8 * idx.size**2
-        if group and used + size > _PART_BUDGET:
-            yield gather(group)
-            group, used = [], 0
-        group.append(idx)
+    sizes = (8 * np.bincount(embedded.assignment).astype(np.int64) ** 2).tolist()
+    # (first cell, end cell, Gram bytes) of each part.
+    bounds, first, used = [], 0, 0
+    for k, size in enumerate(sizes):
+        if used and used + size > _PART_BUDGET:
+            bounds.append((first, k, used))
+            first, used = k, 0
         used += size
-    yield gather(group)
+    bounds.append((first, len(sizes), used))
+    if len(bounds) == 1:
+        yield slice(None), embedded, used <= _PART_BUDGET
+        return
+    for first, end, used in bounds:
+        idx = np.flatnonzero((embedded.assignment >= first) & (embedded.assignment < end))
+        part = EmbeddedSet._trusted(embedded.rows[idx], embedded.assignment[idx], embedded.c)
+        yield idx, part, used <= _PART_BUDGET
 
 
 def clip_negatives(kern: KernelMatrix) -> KernelMatrix:

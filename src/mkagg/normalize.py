@@ -100,18 +100,17 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def rn_fit(training_vectors: Sequence[AggregateVector], max_eigvecs: int) -> np.ndarray:
+def rn_fit(training_vectors: Sequence[AggregateVector], max_eigvecs: int | None = None) -> np.ndarray:
     """Learn a D x D rotation whose leading rows are principal directions.
 
     The rows are the right-singular vectors of the centered training vectors,
-    in descending variance order. Each of the first min(max_eigvecs, D) rows
-    has its sign fixed by making its largest-magnitude component positive.
-    At most min(n - 1, D) rows are principal for n training vectors; the rows
-    past the data's rank are the remaining right-singular vectors, an
-    orthonormal basis of the complement as LAPACK returns it.
+    in descending variance order. Every row has its sign fixed by making its
+    largest-magnitude component positive. At most min(n - 1, D) rows are
+    principal for n training vectors; the rows past the data's rank are the
+    remaining right-singular vectors, an orthonormal basis of the complement
+    as LAPACK returns it. ``max_eigvecs`` is accepted for compatibility and
+    ignored.
     """
-    if max_eigvecs < 1:
-        raise ValueError("max_eigvecs must be >= 1")
     if len(training_vectors) < 2:
         raise ValueError("need at least 2 training vectors")
     dim = training_vectors[0].dim
@@ -124,9 +123,8 @@ def rn_fit(training_vectors: Sequence[AggregateVector], max_eigvecs: int) -> np.
     # With n < D only the full V is square; with n >= D the thin V already
     # is, and a full U would take n x n memory.
     _, _, vt = np.linalg.svd(data, full_matrices=data.shape[0] < dim)
-    for row in vt[:max_eigvecs]:
-        if row[np.argmax(np.abs(row))] < 0.0:
-            row *= -1.0
+    flip = vt[np.arange(dim), np.abs(vt).argmax(axis=1)] < 0.0
+    vt[flip] *= -1.0
     return vt
 
 

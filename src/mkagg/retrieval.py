@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,45 +111,40 @@ def export_weights(embedded: EmbeddedSet, weights: WeightVector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    """Parse `query_id<TAB>rel|junk<TAB>item_id` lines."""
-    relevant: dict[str, set[str]] = {}
-    junk: dict[str, set[str]] = {}
+def _tsv_lines(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each nonblank line, which must have ``fields`` tab-separated fields."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, tag, item = parts
-            if tag == "rel":
-                relevant.setdefault(qid, set()).add(item)
-            elif tag == "junk":
-                junk.setdefault(qid, set()).add(item)
-            else:
-                raise DataFormatError(f"{path}:{lineno}: tag must be 'rel' or 'junk', got {tag!r}")
-    return GroundTruth(
-        relevant={q: frozenset(s) for q, s in relevant.items()},
-        junk={q: frozenset(s) for q, s in junk.items()},
-    )
+            if len(parts) != fields:
+                raise DataFormatError(f"{path}:{lineno}: expected {fields} tab-separated fields")
+            yield lineno, parts
+
+
+def read_ground_truth(path: str | Path) -> GroundTruth:
+    """Parse `query_id<TAB>rel|junk<TAB>item_id` lines."""
+    relevant: dict[str, set[str]] = {}
+    junk: dict[str, set[str]] = {}
+    for lineno, (qid, tag, item) in _tsv_lines(path, 3):
+        if tag == "rel":
+            relevant.setdefault(qid, set()).add(item)
+        elif tag == "junk":
+            junk.setdefault(qid, set()).add(item)
+        else:
+            raise DataFormatError(f"{path}:{lineno}: tag must be 'rel' or 'junk', got {tag!r}")
+    return GroundTruth(relevant=relevant, junk=junk)
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     """Parse an `id<TAB>vector_file_path` manifest of unique ids, keeping file order."""
     entries: list[tuple[str, str]] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            if parts[0] in seen:
-                raise DataFormatError(f"{path}:{lineno}: id {parts[0]!r} repeats line {seen[parts[0]]}")
-            seen[parts[0]] = lineno
-            entries.append((parts[0], parts[1]))
+    for lineno, (item_id, vector_path) in _tsv_lines(path, 2):
+        if item_id in seen:
+            raise DataFormatError(f"{path}:{lineno}: id {item_id!r} repeats line {seen[item_id]}")
+        seen[item_id] = lineno
+        entries.append((item_id, vector_path))
     return entries

@@ -43,7 +43,7 @@ from mkagg.democratic import (
     aggregate_sum,
     sinkhorn_weights,
 )
-from mkagg.embed import EmbeddingConfig, _kmeanspp_init, embed_set
+from mkagg.embed import EmbeddingConfig, _kmeanspp_init, _row_chunks, embed_set
 from mkagg.gmp import GmpConfig, aggregate_gmp, gmp_weights
 from mkagg import matio
 from mkagg.kernel import gram
@@ -130,6 +130,29 @@ def rn_fit_gram_schmidt(training_vectors: Sequence[AggregateVector], max_eigvecs
     if len(rows) != dim:
         raise ValueError("failed to complete an orthonormal basis")
     return np.stack(rows)
+
+
+def kmeanspp_two_loops(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding as two distance passes: one for the first center, drawn
+    uniformly, and one per further center inside the sampling loop."""
+    n = points.shape[0]
+    centers = np.empty((c, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    chunks = _row_chunks(n, points.shape[1])
+    d2 = np.empty(n)
+    for rows in chunks:
+        d2[rows] = np.sum((points[rows] - centers[0]) ** 2, axis=1)
+    for j in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            choice = rng.choice(n, p=probs)
+        else:
+            choice = rng.integers(n)
+        centers[j] = points[choice]
+        for rows in chunks:
+            np.minimum(d2[rows], np.sum((points[rows] - centers[j]) ** 2, axis=1), out=d2[rows])
+    return centers
 
 
 def lloyd_direct(training: DescriptorSet, c: int, seed: int, max_iters: int = 100) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exit codes, file pipelines."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestTrainCodebook:
                      "--seed", "0", "--output", str(tmp_path / "cb.mkcb")])
         assert code == 2
         assert "at least" in capsys.readouterr().err
+
+    def test_fewer_distinct_descriptors_than_clusters_exit_2(self, tmp_path, capsys):
+        """30 rows of 3 distinct points and 4 clusters: the error names the cause."""
+        mkds, out = tmp_path / "train.mkds", tmp_path / "cb.mkcb"
+        matio.write_matrix_file(mkds, matio.MAGIC_DESCRIPTORS, np.repeat(np.eye(3, 2), 10, axis=0))
+        code = main(["train-codebook", "--input", str(mkds), "--clusters", "4", "--output", str(out)])
+        assert code == 2
+        assert "3 distinct descriptors, fewer than 4 clusters" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train-codebook", "--input", str(mkds), "--clusters", "3", "--output", str(out)]) == 0
 
     def test_same_seed_byte_identical(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -312,6 +323,19 @@ class TestNormalize:
             out = capsys.readouterr().out
             assert f"(at most {expected} principal rows from {n} training vectors)" in out
 
+    def test_rn_fit_without_max_eigvecs(self, tmp_path):
+        """The flag is optional and ignored: with or without it, the same rotation bytes."""
+        manifest = tmp_path / "vecs.tsv"
+        lines = []
+        for i, row in enumerate(np.random.default_rng(65).normal(size=(6, 10)).astype(np.float32)):
+            matio.save_vector(tmp_path / f"v{i}.mkvc", row)
+            lines.append(f"v{i}\t{tmp_path / f'v{i}.mkvc'}")
+        manifest.write_text("\n".join(lines) + "\n")
+        outs = [tmp_path / "a.mkrt", tmp_path / "b.mkrt"]
+        assert main(["rn-fit", "--vectors", str(manifest), "--output", str(outs[0])]) == 0
+        assert main(["rn-fit", "--vectors", str(manifest), "--max-eigvecs", "2", "--output", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_empty_rotation_exit_2(self, tmp_path, capsys):
         src = self._write_vec(tmp_path, [3.0, 4.0])
         rot_path = tmp_path / "empty.mkrt"
@@ -371,6 +395,26 @@ class TestEval:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[-1].startswith("mAP\t")
         assert abs(float(out[-1].split("\t")[1]) - 1.0) <= 1e-9
+
+    def test_missing_relevant_ids_named_per_query(self, tmp_path, capsys):
+        """Each of three queries lacks one relevant id in the index: one stderr
+        line per query names it, no warning escapes, and the APs count the
+        missing ids against the queries as before."""
+        index, _ = self._build_corpus(tmp_path)
+        truth = tmp_path / "truth.tsv"
+        argv = ["eval", "--index", str(index), "--queries", str(index), "--truth", str(truth), "--exclude-self"]
+        truth.write_text("q\trel\ta\nq\trel\tgone_q\na\trel\tq\na\trel\tgone_a\nb\trel\tq\nb\trel\tgone_b\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "q\t0.500000\na\t0.500000\nb\t0.250000\nmAP\t0.416667\n"
+        assert captured.err.splitlines() == [
+            f"mkagg: warning: query {q!r}: relevant id(s) ['gone_{q}'] not in the index" for q in "qab"
+        ]
+        truth.write_text("q\trel\ta\na\trel\tq\nb\trel\tq\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_self_only_relevant_with_exclude_errors(self, tmp_path, capsys):
         index, queries = self._build_corpus(tmp_path)

@@ -295,14 +295,16 @@ class TestPerPartWeights:
         emb, budget = case
         with mock.patch.object(kernel, "_PART_BUDGET", budget):
             got = list(kernel.parts(emb))
-            fit = [kernel.fits(part) for _, part in got]
             _, weights = cli._aggregate_one(emb, _aggregate_args("democratic", "--gamma", str(gamma)))
-        if sum(_block_bytes(emb)) <= budget:
+        whole = _block_bytes(emb)
+        if sum(whole) <= budget or len(whole) == 1:
+            # One part, yielded whole; it fits unless it is one cell over the budget.
             assert len(got) == 1 and got[0][0] == slice(None) and got[0][1] is emb
+            assert got[0][2] == (sum(whole) <= budget)
         else:
-            indices = [idx for idx, _ in got]
+            indices = [idx for idx, _, _ in got]
             np.testing.assert_array_equal(np.sort(np.concatenate(indices)), np.arange(emb.n))
-            for k, (idx, part) in enumerate(got):
+            for k, (idx, part, fits) in enumerate(got):
                 assert np.all(np.diff(idx) > 0)
                 np.testing.assert_array_equal(part.rows, emb.rows[idx])
                 np.testing.assert_array_equal(part.assignment, emb.assignment[idx])
@@ -313,15 +315,28 @@ class TestPerPartWeights:
                 if k + 1 < len(got):  # greedy: the next part's first cell did not fit
                     assert sum(sizes) + _block_bytes(got[k + 1][1])[0] > budget
                 # Only a part of one cell over the budget does not fit.
-                assert fit[k] == (sum(sizes) <= budget)
+                assert fits == (sum(sizes) <= budget)
         packed = np.zeros(emb.n, dtype=bool)
-        for (idx, _), fits in zip(got, fit):
+        for idx, _, fits in got:
             packed[idx] = fits
         want = sinkhorn_weights(gram(emb), DemocraticConfig(gamma=gamma)).alpha
         # Packed parts are scaled from their Gram, bit for bit; a cell over the
         # budget from its rows, up to rounding (TestRowsPath pins that side).
         np.testing.assert_array_equal(weights.alpha[packed], want[packed])
         np.testing.assert_allclose(weights.alpha[~packed], want[~packed], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_one_cell_over_the_budget_is_one_part_without_a_gather(self, w):
+        """A set of one 5-descriptor cell against a budget of a 4x4 block."""
+        emb = _cell_set([5], w, 4, seed=192)
+        with mock.patch.object(kernel, "_PART_BUDGET", 8 * 4**2):
+            got = list(kernel.parts(emb))
+            _, weights = cli._aggregate_one(emb, _aggregate_args("democratic"))
+        assert len(got) == 1
+        idx, part, fits = got[0]
+        assert idx == slice(None) and part is emb and not fits
+        want = sinkhorn_weights(emb, DemocraticConfig()).alpha
+        np.testing.assert_array_equal(weights.alpha, want)
 
     def test_cli_writes_the_whole_kernel_aggregate(self, tmp_path):
         """Cells of 1000 (8 MB block, over the budget), 300, 50 and 20."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import assign_direct, lloyd_direct
+from oracles import assign_direct, kmeanspp_two_loops, lloyd_direct
 
 from mkagg import embed
 from mkagg.embed import EmbeddingConfig, embed_set, train_codebook
@@ -319,6 +319,32 @@ class TestLloydMatchesDirectForm:
         for c in (2, 5, 9):
             got = train_codebook(DescriptorSet(blobs), c=c, seed=seed).centroids
             assert got.tobytes() == lloyd_direct(DescriptorSet(blobs), c=c, seed=seed).tobytes()
+
+
+class TestKmeansppSeeding:
+    @PROPERTY
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 5),
+        distinct=st.integers(1, 60),
+        c=st.integers(1, 12),
+        rows_per_chunk=st.sampled_from([1, 7, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_loop_oracle(self, n, d, distinct, c, rows_per_chunk, seed):
+        """Same centers and the same RNG draws, byte for byte, also when the
+        points have fewer distinct values than c (d2 sums to 0, draws are uniform)."""
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(min(distinct, n), d))
+        points = values[rng.integers(0, values.shape[0], size=n)]
+        c = min(c, n)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "_ASSIGN_BUDGET", 8 * d * rows_per_chunk)
+            got = embed._kmeanspp_init(points, c, got_rng)
+            want = kmeanspp_two_loops(points, c, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.integers(2**63) == want_rng.integers(2**63)
 
 
 class TestAssignmentMemory:

@@ -144,12 +144,22 @@ class TestRnFit:
         assert np.max(np.abs(rot.T @ rot - eye)) <= 1e-9
         assert np.max(np.abs(rot @ rot.T - eye)) <= 1e-9
         n_lead = min(max_eigvecs, dim)
-        for row in rot[:n_lead]:
+        for row in rot:
             assert row[np.argmax(np.abs(row))] > 0.0
         assert rot.tobytes() == rn_fit(_vecs(data), max_eigvecs=max_eigvecs).tobytes()
         oracle = rn_fit_gram_schmidt(_vecs(data), max_eigvecs=max_eigvecs)
         for j in _separated_rows(data, n_lead):
             assert np.max(np.abs(rot[j] - oracle[j])) <= 1e-12, j
+
+    @pytest.mark.parametrize("n, dim", [(5, 8), (30, 8), (12, 12), (3, 40)])
+    def test_every_row_signed_and_max_eigvecs_ignored(self, n, dim):
+        """Rows past the data's rank included; any ``max_eigvecs`` gives the same bytes."""
+        rows = np.random.default_rng(48).normal(size=(n, dim))
+        rot = rn_fit(_vecs(rows))
+        for row in rot:
+            assert row[np.argmax(np.abs(row))] > 0.0
+        for k in (1, 3, dim, 4 * dim):
+            assert rn_fit(_vecs(rows), max_eigvecs=k).tobytes() == rot.tobytes()
 
     def test_memory_does_not_grow_with_training_set_squared(self):
         """n = 6000 vectors at D = 4: nothing n x n is allocated."""
